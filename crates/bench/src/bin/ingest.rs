@@ -502,11 +502,12 @@ fn main() {
             let stats = slider.stats();
             println!(
                 "  {workers} worker(s), {label:>7} ({shards:>2} shard{}): {:>9.2} ms, \
-                 {:>9.0} triples/s  ({} shard write conflicts)",
+                 {:>9.0} triples/s  ({} shard write conflicts, {} cow pairs copied)",
                 if shards == 1 { "" } else { "s" },
                 took.as_secs_f64() * 1e3,
                 input as f64 / took.as_secs_f64().max(1e-9),
                 stats.shard_write_conflicts,
+                stats.cow_pairs_copied,
             );
             report.push(
                 Cell::new(format!("end-to-end/{label}/{workers}-workers"))
@@ -519,7 +520,8 @@ fn main() {
                         "triples_per_sec",
                         input as f64 / took.as_secs_f64().max(1e-9),
                     )
-                    .metric("store_size", stats.store_size as f64),
+                    .metric("store_size", stats.store_size as f64)
+                    .metric("cow_pairs_copied", stats.cow_pairs_copied as f64),
             );
             if let Some(expected) = &expected {
                 assert_eq!(

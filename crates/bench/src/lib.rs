@@ -302,6 +302,35 @@ pub fn render_csv(rows: &[TableRow]) -> String {
     s
 }
 
+/// Builds the `table1 --json` trajectory: one cell per ontology ×
+/// fragment, carrying the input and inferred counts, both engines'
+/// seconds and the gain.
+pub fn render_report(rows: &[TableRow], scale: f64) -> report::BenchReport {
+    let mut report = report::BenchReport::new(
+        "table1",
+        format!(
+            "{} paper ontologies at scale {scale} (chains at paper size), parse + materialise",
+            rows.len()
+        ),
+    )
+    .config("scale", scale);
+    for row in rows {
+        for (fragment, cmp) in [("rho-df", &row.rho_df), ("RDFS", &row.rdfs)] {
+            report.push(
+                report::Cell::new(format!("{}/{fragment}", row.ontology))
+                    .param("ontology", &row.ontology)
+                    .param("fragment", fragment)
+                    .metric("input", cmp.input as f64)
+                    .metric("inferred", cmp.slider.inferred as f64)
+                    .metric("baseline_s", cmp.baseline.elapsed.as_secs_f64())
+                    .metric("slider_s", cmp.slider.elapsed.as_secs_f64())
+                    .metric("gain_percent", cmp.gain_percent()),
+            );
+        }
+    }
+    report
+}
+
 /// The multi-family partitioned-maintenance workload, shared by the
 /// `retraction` bin and the criterion `retraction/partitioned_flush`
 /// group so the CI smoke gate and the microbenchmark measure the same
@@ -782,6 +811,14 @@ mod tests {
         let csv = render_csv(std::slice::from_ref(&row));
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.contains("subClassOf10,rho-df,slider"));
+        let json = render_report(std::slice::from_ref(&row), 1.0).to_json();
+        assert!(json.contains(r#""bench":"table1""#));
+        assert_eq!(json.matches(r#""label":"#).count(), 2);
+        assert!(json.contains(r#""label":"subClassOf10/RDFS""#));
+        assert!(json.contains(r#""inferred":36.0"#), "{json}");
+        for metric in ["input", "baseline_s", "slider_s", "gain_percent"] {
+            assert!(json.contains(&format!(r#""{metric}":"#)), "{metric}");
+        }
     }
 
     #[test]

@@ -741,19 +741,16 @@ impl Engine {
     /// the store (and the quiescence gate) between slices, bounding how
     /// long one tenant's maintenance can hold a shared runtime tick.
     fn flush_maintenance_slice(&self, limit: usize) -> (RemovalOutcome, usize) {
-        // Fast path: nothing pending means nothing to retract — return
-        // the zeroed outcome without taking the maintenance mutex or the
-        // store's gate in write mode (pinned by the
-        // `gate_write_acquisitions` stat). A retraction enqueued between
-        // this check and the caller observing the return was concurrent
-        // with the flush and may legitimately land after it.
-        if self.scheduler.pending() == 0 {
-            return (RemovalOutcome::default(), 0);
-        }
         // One maintenance run at a time, so two racing flushes (threshold
         // vs deadline vs explicit) cannot split one pending generation
-        // across two runs.
+        // across two runs. The pending check comes only after the mutex:
+        // an empty queue may mean a racing run has drained it and not yet
+        // published, and returning before that run ends would let the
+        // caller read a store without the retractions it enqueued.
         let _serial = self.maintenance.lock();
+        // Nothing pending means nothing to retract — return the zeroed
+        // outcome without taking the store's gate in write mode (pinned by
+        // the `gate_write_acquisitions` stat).
         if self.scheduler.pending() == 0 {
             return (RemovalOutcome::default(), 0);
         }
@@ -1934,6 +1931,7 @@ impl Slider {
             gate_write_acquisitions: engine.store.gate_write_acquisitions(),
             shard_write_conflicts: engine.store.shard_write_conflicts(),
             snapshot_generation: engine.store.snapshot_generation(),
+            cow_pairs_copied: engine.store.cow_pairs_copied(),
             ruleset_swaps: engine.globals.ruleset_swaps.load(Ordering::Relaxed),
             budget_deferrals: engine.globals.budget_deferrals.load(Ordering::Relaxed),
             runtime_sessions: self.session.session_count(),

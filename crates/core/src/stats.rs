@@ -190,11 +190,20 @@ pub struct StatsSnapshot {
     /// job.
     pub shard_write_conflicts: u64,
     /// Generation of the published epoch snapshot at snapshot time. Bumps
-    /// once per shard-write release or exclusive-section publication; a
-    /// reader holding an [`EpochSnapshot`](slider_store::EpochSnapshot)
-    /// with a lower generation sees an older — but internally consistent —
-    /// cut of the store.
+    /// once per touched shard per store write call (input batch,
+    /// distributor batch, removal) and once per exclusive-section
+    /// publication; a reader holding an
+    /// [`EpochSnapshot`](slider_store::EpochSnapshot) with a lower
+    /// generation sees an older — but internally consistent — cut of the
+    /// store.
     pub snapshot_generation: u64,
+    /// Pairs deep-copied because a store write mutated a property table
+    /// that a published epoch still shared (see
+    /// [`ShardedStore::cow_pairs_copied`](slider_store::ShardedStore::cow_pairs_copied)).
+    /// Each write call copies each table it mutates at most once, so a
+    /// value far above the store size means many write calls are landing
+    /// in large tables.
+    pub cow_pairs_copied: u64,
     /// Live ruleset replacements completed by
     /// [`Slider::swap_ruleset`](crate::Slider::swap_ruleset).
     pub ruleset_swaps: u64,
@@ -307,8 +316,8 @@ impl std::fmt::Display for StatsSnapshot {
         )?;
         writeln!(
             f,
-            "epochs: generation {}, {} ruleset swaps",
-            self.snapshot_generation, self.ruleset_swaps
+            "epochs: generation {}, {} ruleset swaps, {} cow pairs copied",
+            self.snapshot_generation, self.ruleset_swaps, self.cow_pairs_copied
         )?;
         writeln!(
             f,
@@ -380,6 +389,7 @@ mod tests {
             gate_write_acquisitions: 0,
             shard_write_conflicts: 0,
             snapshot_generation: 0,
+            cow_pairs_copied: 0,
             ruleset_swaps: 0,
             budget_deferrals: 0,
             runtime_sessions: 1,
@@ -449,9 +459,10 @@ mod tests {
         // So does the epoch line.
         with_removals.snapshot_generation = 9;
         with_removals.ruleset_swaps = 1;
+        with_removals.cow_pairs_copied = 512;
         assert!(with_removals
             .to_string()
-            .contains("epochs: generation 9, 1 ruleset swaps"));
+            .contains("epochs: generation 9, 1 ruleset swaps, 512 cow pairs copied"));
         // And the shared-runtime line.
         with_removals.runtime_sessions = 3;
         with_removals.budget_deferrals = 7;

@@ -33,7 +33,8 @@
 //!   in ascending index order; no shard lock is ever acquired while a
 //!   snapshot's guards are held.
 //! * No thread ever holds more than one shard **write** lock at a time —
-//!   the batched write paths release shard *i* before acquiring shard *j*
+//!   the batched write paths visit each touched shard once, in ascending
+//!   index order, and release shard *i* before acquiring shard *j*
 //!   (a batch is therefore atomic with respect to maintenance, which
 //!   excludes it wholly via the gate, but not with respect to readers of
 //!   other shards — exactly the per-shard granularity the fresh-subset
@@ -47,15 +48,19 @@
 //!
 //! On top of the two lock levels the store keeps one **published epoch**:
 //! an immutable, generation-stamped [`EpochSnapshot`] holding an
-//! `Arc<VerticalStore>` per shard. Every writer publishes a fresh epoch
-//! at the moment it releases a shard — while still holding that shard's
-//! write lock, so publications of a shard serialise and each epoch is a
-//! prefix-consistent cut of the store's history (a batch's triples appear
-//! shard-release by shard-release, never torn inside one shard). The
-//! clone taken at publication is copy-on-write
-//! ([`VerticalStore`]'s tables are `Arc`-shared), so publishing costs
-//! O(#predicates touched) `Arc` bumps plus one deep table copy per
-//! *mutated* table per publish cycle — not a store copy.
+//! `Arc<VerticalStore>` per shard. A write call publishes **once per
+//! shard it touches**: it applies the shard's whole share of the batch
+//! under the shard's write lock and publishes a fresh epoch before
+//! releasing that lock, so publications of a shard serialise and each
+//! epoch is a prefix-consistent cut of the store's history (a call's
+//! share of a shard appears in it whole, never torn). The clone taken at
+//! publication is copy-on-write ([`VerticalStore`]'s tables are
+//! `Arc`-shared), so the publication itself costs one `Arc` bump per
+//! table of the shard. The copy comes later: the first mutation of a
+//! table after a publication deep-copies that whole table. A write call
+//! therefore costs one publication per touched shard plus one deep copy
+//! of each table it mutates that the last publication shares
+//! ([`ShardedStore::cow_pairs_copied`] counts the copied pairs).
 //!
 //! Readers ([`ShardedStore::snapshot`], and through it
 //! [`ShardedStore::matches`] / [`ShardedStore::stats`] /
@@ -111,6 +116,9 @@ pub struct ShardedStore {
     published: Mutex<Arc<EpochSnapshot>>,
     /// Monotone epoch counter; bumped at every publication.
     generation: AtomicU64,
+    /// Pairs deep-copied when a write un-shared a table an epoch shared,
+    /// drained from the shards at each publication.
+    cow_pairs: AtomicU64,
 }
 
 impl Default for ShardedStore {
@@ -174,6 +182,7 @@ impl ShardedStore {
                 len: 0,
             })),
             generation: AtomicU64::new(0),
+            cow_pairs: AtomicU64::new(0),
         };
         this.scatter(store);
         this
@@ -218,6 +227,8 @@ impl ShardedStore {
     /// write mode or own `self` exclusively) and refreshes the length
     /// counter.
     fn scatter(&self, mut store: VerticalStore) {
+        self.cow_pairs
+            .fetch_add(store.take_cow_pairs_copied(), Ordering::Relaxed);
         let mut groups: Vec<Vec<NodeId>> = vec![Vec::new(); self.shards.len()];
         for p in store.predicates().collect::<Vec<_>>() {
             groups[self.shard_of(p)].push(p);
@@ -238,11 +249,14 @@ impl ShardedStore {
     }
 
     /// Publishes a fresh epoch with shard `idx` replaced by a
-    /// copy-on-write clone of `shard`. Callers invoke this **while still
-    /// holding the shard's write lock** (or the gate in write mode), so
-    /// publications of the same shard serialise in mutation order and
-    /// every epoch is a prefix-consistent cut.
-    fn publish_shard(&self, idx: usize, shard: &VerticalStore) {
+    /// copy-on-write clone of `shard`, and drains the shard's
+    /// copy-on-write count. Callers invoke this **while still holding the
+    /// shard's write lock** (or the gate in write mode), so publications
+    /// of the same shard serialise in mutation order and every epoch is a
+    /// prefix-consistent cut.
+    fn publish_shard(&self, idx: usize, shard: &mut VerticalStore) {
+        self.cow_pairs
+            .fetch_add(shard.take_cow_pairs_copied(), Ordering::Relaxed);
         let mut published = self.published.lock();
         let mut shards = published.shards.to_vec();
         shards[idx] = Arc::new(shard.clone());
@@ -277,8 +291,18 @@ impl ShardedStore {
     }
 
     /// Generation stamp of the most recently published epoch (monotone).
+    /// Rises by one per touched shard per write call, and by one per
+    /// exclusive section.
     pub fn snapshot_generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
+    }
+
+    /// Pairs deep-copied so far because a write mutated a table that a
+    /// published epoch still shared. Each write call copies each table it
+    /// mutates at most once, so this grows by the sizes of the tables the
+    /// calls touch, not by the number of triples they write.
+    pub fn cow_pairs_copied(&self) -> u64 {
+        self.cow_pairs.load(Ordering::Relaxed)
     }
 
     /// Drains every shard into one merged store (callers hold the gate in
@@ -295,8 +319,9 @@ impl ShardedStore {
 
     /// Inserts a batch; appends the *new* triples to `fresh` (in input
     /// order) and returns how many were new. Holds the gate in read mode
-    /// for the whole batch and each shard's write lock only for that
-    /// shard's run of triples — at most one shard lock at a time.
+    /// for the whole batch and each touched shard's write lock once, for
+    /// that shard's whole share of the batch — at most one shard lock at
+    /// a time, one epoch publication per touched shard.
     pub fn insert_batch(&self, triples: &[Triple], fresh: &mut Vec<Triple>) -> usize {
         if triples.is_empty() {
             return 0;
@@ -367,12 +392,20 @@ impl ShardedStore {
         )
     }
 
-    /// The shared shard-walking write loop: applies `op` per triple.
-    /// `op` returns `(hit, mutated)` — `hit` collects the triple and
-    /// adjusts the length counter by `delta`, `mutated` marks the shard
-    /// for epoch republication (a provenance-only flip mutates without a
-    /// hit). The caller holds the gate (read mode for monotone inserts,
-    /// write mode for removal).
+    /// The shared write loop: applies `op` per triple. `op` returns
+    /// `(hit, mutated)` — `hit` collects the triple and adjusts the length
+    /// counter by `delta`, `mutated` marks the shard for epoch
+    /// republication (a provenance-only flip mutates without a hit). The
+    /// caller holds the gate (read mode for monotone inserts, write mode
+    /// for removal).
+    ///
+    /// Each touched shard is visited once, in ascending index order: its
+    /// write lock is taken, every triple of the batch hashing there is
+    /// applied in input order, one epoch is published if anything
+    /// changed, and the lock is released before the next shard's. So a
+    /// call publishes at most once per touched shard and copies each
+    /// table it mutates at most once. Hits are appended in input order;
+    /// the extra memory is one bit per triple plus one per shard.
     fn write_batch(
         &self,
         triples: &[Triple],
@@ -380,44 +413,48 @@ impl ShardedStore {
         op: impl Fn(&mut VerticalStore, Triple) -> (bool, bool),
         delta: isize,
     ) -> usize {
-        let before = hits.len();
-        let mut current: Option<(usize, RwLockWriteGuard<'_, VerticalStore>, bool)> = None;
-        for &t in triples {
-            let idx = self.shard_of(t.p);
-            match &current {
-                Some((held, _, _)) if *held == idx => {}
-                _ => {
-                    // Publish, then release the held shard *before*
-                    // acquiring the next: never hold two shard write locks
-                    // (see the lock-order discipline in the module docs).
-                    if let Some((held, guard, dirty)) = current.take() {
-                        if dirty {
-                            self.publish_shard(held, &guard);
-                        }
-                        drop(guard);
-                    }
-                    current = Some((idx, self.lock_shard(idx), false));
-                }
-            }
-            let (_, shard, dirty) = current.as_mut().expect("shard guard just ensured");
-            let (hit, mutated) = op(shard, t);
-            if hit {
-                if delta > 0 {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                }
-                hits.push(t);
-            }
-            *dirty |= mutated;
+        let mut touched = vec![false; self.shards.len()];
+        for t in triples {
+            touched[self.shard_of(t.p)] = true;
         }
-        if let Some((held, guard, dirty)) = current.take() {
+        let mut hit = vec![0u64; triples.len().div_ceil(64)];
+        let mut count = 0;
+        for idx in (0..touched.len()).filter(|&idx| touched[idx]) {
+            let mut shard = self.lock_shard(idx);
+            let mut shard_hits = 0;
+            let mut dirty = false;
+            for (i, &t) in triples.iter().enumerate() {
+                if self.shard_of(t.p) != idx {
+                    continue;
+                }
+                let (was_hit, mutated) = op(&mut shard, t);
+                if was_hit {
+                    hit[i / 64] |= 1 << (i % 64);
+                    shard_hits += 1;
+                }
+                dirty |= mutated;
+            }
+            if delta > 0 {
+                self.len.fetch_add(shard_hits, Ordering::Relaxed);
+            } else {
+                self.len.fetch_sub(shard_hits, Ordering::Relaxed);
+            }
             if dirty {
-                self.publish_shard(held, &guard);
+                self.publish_shard(idx, &mut shard);
             }
-            drop(guard);
+            // Released before the next shard is locked: never two shard
+            // write locks at once (see the module docs).
+            drop(shard);
+            count += shard_hits;
         }
-        hits.len() - before
+        hits.extend(
+            triples
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| hit[i / 64] & (1 << (i % 64)) != 0)
+                .map(|(_, &t)| t),
+        );
+        count
     }
 
     /// Inserts one triple; returns `true` if new. One gate-read plus one
@@ -431,7 +468,7 @@ impl ShardedStore {
         let inserted = guard.insert(t);
         if inserted {
             self.len.fetch_add(1, Ordering::Relaxed);
-            self.publish_shard(idx, &guard);
+            self.publish_shard(idx, &mut guard);
         }
         inserted
     }
@@ -448,7 +485,7 @@ impl ShardedStore {
         let removed = guard.remove(t);
         if removed {
             self.len.fetch_sub(1, Ordering::Relaxed);
-            self.publish_shard(idx, &guard);
+            self.publish_shard(idx, &mut guard);
         }
         removed
     }
@@ -853,7 +890,7 @@ impl Drop for ShardWriteGuard<'_> {
         }
         // Published while the shard write lock (a field, dropped after
         // this body) is still held — release-time atomic visibility.
-        self.owner.publish_shard(self.idx, &self.guard);
+        self.owner.publish_shard(self.idx, &mut self.guard);
     }
 }
 
@@ -1120,6 +1157,97 @@ mod tests {
         assert_eq!(st.insert_batch(&batch, &mut fresh), 6);
         assert_eq!(fresh, batch);
         assert_eq!(st.len(), 6);
+    }
+
+    /// `k` predicates that hash to `k` distinct shards of `st`.
+    fn preds_in_distinct_shards(st: &ShardedStore, k: usize) -> Vec<u64> {
+        let mut seen = std::collections::HashSet::new();
+        let preds: Vec<u64> = (1..1000)
+            .filter(|&p| seen.insert(st.shard_of(NodeId(p))))
+            .take(k)
+            .collect();
+        assert_eq!(preds.len(), k, "not enough shards for {k} predicates");
+        preds
+    }
+
+    /// A batch whose predicates alternate across `k` shards publishes one
+    /// epoch per touched shard, not one per shard switch.
+    #[test]
+    fn alternating_batch_publishes_once_per_touched_shard() {
+        let st = ShardedStore::with_shards(8);
+        let k = 4;
+        let preds = preds_in_distinct_shards(&st, k);
+        let batch: Vec<Triple> = (0..40u64).map(|i| t(i, preds[i as usize % k], i)).collect();
+        let before = st.snapshot_generation();
+        let mut fresh = Vec::new();
+        assert_eq!(st.insert_batch_explicit(&batch, &mut fresh), 40);
+        assert_eq!(st.snapshot_generation() - before, k as u64);
+        assert_eq!(fresh, batch, "hits keep input order across shards");
+        assert_eq!(st.snapshot().len(), 40);
+    }
+
+    /// Repeats interleaved with other shards' triples are reported fresh
+    /// once, at their first position.
+    #[test]
+    fn cross_shard_duplicates_are_fresh_once_at_first_position() {
+        let st = ShardedStore::with_shards(8);
+        let preds = preds_in_distinct_shards(&st, 2);
+        let (a, b, c) = (t(1, preds[0], 1), t(2, preds[1], 2), t(3, preds[0], 3));
+        let mut fresh = Vec::new();
+        assert_eq!(st.insert_batch(&[b, a, b, c, a, b], &mut fresh), 3);
+        assert_eq!(fresh, vec![b, a, c]);
+        assert_eq!(st.len(), 3);
+    }
+
+    /// A call that changes nothing publishes nothing.
+    #[test]
+    fn unchanged_batch_publishes_nothing() {
+        let st = ShardedStore::with_shards(8);
+        let preds = preds_in_distinct_shards(&st, 3);
+        let batch: Vec<Triple> = preds.iter().map(|&p| t(1, p, 2)).collect();
+        let mut fresh = Vec::new();
+        st.insert_batch_explicit(&batch, &mut fresh);
+        let settled = st.snapshot_generation();
+        fresh.clear();
+        assert_eq!(st.insert_batch_explicit(&batch, &mut fresh), 0);
+        assert_eq!(st.insert_batch(&batch, &mut fresh), 0);
+        let absent: Vec<Triple> = preds.iter().map(|&p| t(9, p, 9)).collect();
+        assert_eq!(st.remove_batch(&absent, &mut fresh), 0);
+        assert!(fresh.is_empty());
+        assert_eq!(st.snapshot_generation(), settled);
+    }
+
+    /// After a publication, one call inserting n triples into one table
+    /// copies that table once — its prior length — not n times.
+    #[test]
+    fn one_call_copies_a_shared_table_once() {
+        let st = ShardedStore::with_shards(4);
+        let run = |r: std::ops::Range<u64>| r.map(|i| t(i, 7, i)).collect::<Vec<_>>();
+        let mut fresh = Vec::new();
+        st.insert_batch(&run(0..100), &mut fresh);
+        assert_eq!(st.cow_pairs_copied(), 0, "a new table is not shared");
+        st.insert_batch(&run(100..150), &mut fresh);
+        assert_eq!(st.cow_pairs_copied(), 100);
+        st.insert(t(500, 7, 500));
+        assert_eq!(st.cow_pairs_copied(), 250, "each call copies anew");
+    }
+
+    /// The counter survives an exclusive section's gather/scatter, and
+    /// counts the copies made inside it.
+    #[test]
+    fn cow_count_survives_exclusive_sections() {
+        let st = ShardedStore::with_shards(4);
+        let mut fresh = Vec::new();
+        st.insert_batch(&(0..10).map(|i| t(i, 7, i)).collect::<Vec<_>>(), &mut fresh);
+        st.insert(t(10, 7, 10));
+        assert_eq!(st.cow_pairs_copied(), 10);
+        {
+            let mut guard = st.exclusive();
+            guard.remove(t(0, 7, 0));
+        }
+        assert_eq!(st.cow_pairs_copied(), 21, "exclusive copy counted");
+        st.insert(t(11, 7, 11));
+        assert_eq!(st.cow_pairs_copied(), 31);
     }
 
     #[test]

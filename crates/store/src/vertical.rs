@@ -44,13 +44,20 @@ pub fn subject_bucket(s: NodeId, k: usize) -> usize {
 /// (reference bumps, no triple copies). A mutation on a shared table
 /// ([`Arc::make_mut`]) deep-clones that one table first — the mechanism the
 /// concurrent store's epoch snapshots are built on: publishing a snapshot
-/// clones the store cheaply, and only the tables touched afterwards pay a
-/// copy, once per publish cycle.
+/// clones the store cheaply, and the first mutation of a table after each
+/// publication pays one deep copy of that whole table. The concurrent store
+/// publishes once per touched shard per write call, so every write call
+/// pays one deep copy of each table it mutates that the last publication
+/// shares; the pairs so copied are counted
+/// ([`ShardedStore::cow_pairs_copied`](crate::ShardedStore::cow_pairs_copied)).
 #[derive(Debug, Clone)]
 pub struct VerticalStore {
     tables: FxHashMap<NodeId, Arc<PropertyTable>>,
     len: usize,
     object_index: bool,
+    /// Pairs deep-copied by copy-on-write un-sharing since the owner last
+    /// took the count ([`VerticalStore::take_cow_pairs_copied`]).
+    cow_pairs_copied: u64,
     /// Number of explicitly asserted triples. The flags themselves live in
     /// the per-predicate tables (`explicit ⊆ store` always holds: removal
     /// clears the flag, and marking inserts the triple), so moving a table
@@ -84,6 +91,16 @@ pub struct StoreStats {
     pub largest_partition: usize,
 }
 
+/// [`Arc::make_mut`] that adds to `copied` the pairs of `tab` it deep-copies
+/// when an epoch still shares the table. The reference-count check is one
+/// load, so the unshared path costs nothing extra.
+fn unshare<'a>(tab: &'a mut Arc<PropertyTable>, copied: &mut u64) -> &'a mut PropertyTable {
+    if Arc::strong_count(tab) > 1 {
+        *copied += tab.len() as u64;
+    }
+    Arc::make_mut(tab)
+}
+
 impl VerticalStore {
     /// An empty store with full indexing.
     pub fn new() -> Self {
@@ -92,6 +109,7 @@ impl VerticalStore {
             len: 0,
             object_index: true,
             explicit_len: 0,
+            cow_pairs_copied: 0,
         }
     }
 
@@ -103,6 +121,7 @@ impl VerticalStore {
             len: 0,
             object_index: false,
             explicit_len: 0,
+            cow_pairs_copied: 0,
         }
     }
 
@@ -121,7 +140,7 @@ impl VerticalStore {
         if tab.contains(t.s, t.o) {
             return false;
         }
-        Arc::make_mut(tab).add(t.s, t.o);
+        unshare(tab, &mut self.cow_pairs_copied).add(t.s, t.o);
         self.len += 1;
         true
     }
@@ -150,7 +169,7 @@ impl VerticalStore {
             .get_mut(&t.p)
             .expect("insert created the partition");
         if !tab.is_explicit(t.s, t.o) {
-            Arc::make_mut(tab).mark_explicit(t.s, t.o);
+            unshare(tab, &mut self.cow_pairs_copied).mark_explicit(t.s, t.o);
             self.explicit_len += 1;
         }
         inserted
@@ -181,7 +200,7 @@ impl VerticalStore {
             return false;
         }
         let was_explicit = tab.is_explicit(t.s, t.o);
-        Arc::make_mut(tab).remove(t.s, t.o);
+        unshare(tab, &mut self.cow_pairs_copied).remove(t.s, t.o);
         if tab.is_empty() {
             self.tables.remove(&t.p);
         }
@@ -222,9 +241,15 @@ impl VerticalStore {
         if !tab.is_explicit(t.s, t.o) {
             return false;
         }
-        Arc::make_mut(tab).unmark_explicit(t.s, t.o);
+        unshare(tab, &mut self.cow_pairs_copied).unmark_explicit(t.s, t.o);
         self.explicit_len -= 1;
         true
+    }
+
+    /// Returns the pairs deep-copied by copy-on-write un-sharing since the
+    /// last call, and resets the count.
+    pub(crate) fn take_cow_pairs_copied(&mut self) -> u64 {
+        std::mem::take(&mut self.cow_pairs_copied)
     }
 
     /// Number of explicitly asserted triples.
@@ -291,7 +316,7 @@ impl VerticalStore {
             if !tab.subject_keys().any(&take) {
                 continue;
             }
-            let carved = Arc::make_mut(tab).split_off_subjects(&take);
+            let carved = unshare(tab, &mut self.cow_pairs_copied).split_off_subjects(&take);
             self.len -= carved.len();
             self.explicit_len -= carved.explicit_len();
             split.len += carved.len();
@@ -320,6 +345,7 @@ impl VerticalStore {
     /// disjoint carvings (by predicate or by subject range); an
     /// overlapping triple means a carve invariant broke upstream.
     pub fn absorb(&mut self, other: VerticalStore) {
+        self.cow_pairs_copied += other.cow_pairs_copied;
         for (p, tab) in other.tables {
             self.len += tab.len();
             self.explicit_len += tab.explicit_len();
@@ -328,7 +354,7 @@ impl VerticalStore {
                     slot.insert(tab);
                 }
                 std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let mine = Arc::make_mut(slot.get_mut());
+                    let mine = unshare(slot.get_mut(), &mut self.cow_pairs_copied);
                     let theirs = Arc::try_unwrap(tab).unwrap_or_else(|arc| (*arc).clone());
                     mine.merge(theirs);
                 }
