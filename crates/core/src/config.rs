@@ -33,15 +33,6 @@ pub struct SliderConfig {
     /// cheaper instances), productive rules smaller ones (lower latency).
     /// Off by default.
     pub adaptive_buffers: bool,
-    /// Conservative truth maintenance: when `true`, DRed retraction
-    /// (see [`Slider::remove_triples`](crate::Slider::remove_triples)) runs
-    /// **every** rule in both the overdeletion and rederivation phases,
-    /// instead of restricting overdeletion to the dependency-graph
-    /// downward closure of the retracted predicates and rederivation to
-    /// the rules whose output signature can emit an overdeleted predicate.
-    /// The two modes compute the same store; the restricted default just
-    /// does less work. Off by default; useful as a cross-check/ablation.
-    pub full_rederive: bool,
     /// Coalesced-maintenance threshold: how many *distinct* pending
     /// retractions [`Slider::remove_deferred`](crate::Slider::remove_deferred)
     /// accumulates before it triggers one coalesced DRed run over the whole
@@ -57,34 +48,21 @@ pub struct SliderConfig {
     /// [`Slider::flush_maintenance`](crate::Slider::flush_maintenance).
     /// Default: 100 ms.
     pub maintenance_max_age: Option<Duration>,
-    /// Partitioned coalesced flushes: when a coalesced run's pending
-    /// retractions fall into several independent maintenance partitions of
-    /// the rules dependency graph (disjoint
+    /// Partitioned maintenance: when a coalesced flush's pending
+    /// retractions — or the batches of concurrent eager
+    /// [`Slider::remove_triples`](crate::Slider::remove_triples) callers
+    /// combined into one run — fall into several independent maintenance
+    /// partitions of the rules dependency graph (disjoint
     /// overdeletion/rederivation footprints — see
     /// [`DependencyGraph::component_of`](slider_rules::DependencyGraph::component_of)),
     /// run one DRed pass per partition **in parallel on the worker pool**
     /// instead of a single sequential pass. Falls back to the single pass
-    /// automatically when the pending set maps to one partition, a
+    /// automatically when the retractions map to one partition, a
     /// partition owns every predicate (universal rules — ρdf/RDFS always
-    /// do), a rule involved lacks a backward matcher, or
-    /// [`full_rederive`](SliderConfig::full_rederive) is set. The two
-    /// modes land on the same store. On by default; the switch exists as
-    /// an ablation/cross-check.
+    /// do), or a rule involved lacks a backward matcher. The two modes
+    /// land on the same store. On by default; `false` is the single-pass
+    /// comparator of the `retraction` benchmark.
     pub maintenance_partitioning: bool,
-    /// Intra-partition deletion sub-split factor: when a single
-    /// maintenance partition's pending retractions pass the planner's
-    /// subject-locality gate (every rule the deletion's affected
-    /// predicate closure touches declares those predicates
-    /// [`subject_local_inputs`](slider_rules::Rule::subject_local_inputs)),
-    /// the partition's affected predicates are carved into up to this
-    /// many subject-hash buckets whose downward closures are provably
-    /// disjoint, and each bucket runs its own DRed pass in parallel —
-    /// joining against the rest of the partition through a read-only
-    /// overlay. `1` (the default and the ablation baseline) disables
-    /// sub-splitting: the unit of deletion work stays the rule family,
-    /// exactly the previous behaviour. Requires
-    /// [`maintenance_partitioning`](SliderConfig::maintenance_partitioning).
-    pub deletion_subsplit: usize,
     /// Shards of the two-level-locked store (rounded up to a power of two,
     /// minimum 1): rule joins and distributor writes touching disjoint
     /// predicate families lock disjoint shards and run concurrently, while
@@ -117,11 +95,9 @@ impl Default for SliderConfig {
             trace: false,
             object_index: true,
             adaptive_buffers: false,
-            full_rederive: false,
             maintenance_batch: 1024,
             maintenance_max_age: Some(Duration::from_millis(100)),
             maintenance_partitioning: true,
-            deletion_subsplit: 1,
             store_shards: slider_store::DEFAULT_SHARDS,
             dict_sweep_ratio: 0.5,
         }
@@ -180,12 +156,6 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style conservative-maintenance switch.
-    pub fn with_full_rederive(mut self, full: bool) -> Self {
-        self.full_rederive = full;
-        self
-    }
-
     /// Builder-style coalesced-maintenance threshold (min 1).
     pub fn with_maintenance_batch(mut self, batch: usize) -> Self {
         self.maintenance_batch = batch.max(1);
@@ -198,16 +168,10 @@ impl SliderConfig {
         self
     }
 
-    /// Builder-style partitioned-flush switch (ablation/cross-check).
+    /// Builder-style partitioned-maintenance switch (the single-pass
+    /// comparator).
     pub fn with_maintenance_partitioning(mut self, partitioning: bool) -> Self {
         self.maintenance_partitioning = partitioning;
-        self
-    }
-
-    /// Builder-style deletion sub-split factor (min 1; `1` = no
-    /// sub-splitting, the ablation baseline).
-    pub fn with_deletion_subsplit(mut self, subsplit: usize) -> Self {
-        self.deletion_subsplit = subsplit.max(1);
         self
     }
 
@@ -239,11 +203,9 @@ mod tests {
         assert!(!c.trace);
         assert!(c.object_index);
         assert!(!c.adaptive_buffers);
-        assert!(!c.full_rederive);
         assert!(c.maintenance_batch >= 1);
         assert!(c.maintenance_max_age.is_some());
         assert!(c.maintenance_partitioning);
-        assert_eq!(c.deletion_subsplit, 1);
         assert_eq!(c.store_shards, slider_store::DEFAULT_SHARDS);
         assert_eq!(c.dict_sweep_ratio, 0.5);
     }
@@ -267,22 +229,6 @@ mod tests {
     fn store_shards_builder_clamps() {
         assert_eq!(SliderConfig::default().with_store_shards(0).store_shards, 1);
         assert_eq!(SliderConfig::default().with_store_shards(8).store_shards, 8);
-    }
-
-    #[test]
-    fn deletion_subsplit_builder_clamps() {
-        let c = SliderConfig::default();
-        assert_eq!(c.clone().with_deletion_subsplit(0).deletion_subsplit, 1);
-        assert_eq!(c.with_deletion_subsplit(4).deletion_subsplit, 4);
-    }
-
-    #[test]
-    fn full_rederive_builder() {
-        assert!(
-            SliderConfig::default()
-                .with_full_rederive(true)
-                .full_rederive
-        );
     }
 
     #[test]

@@ -25,15 +25,13 @@
 //!    the surviving store as the delta, then the usual fixpoint on fresh
 //!    conclusions. Both paths restore exactly the same triples.
 //!
-//! Both phases restrict the rules they run (unless
-//! [`SliderConfig::full_rederive`](crate::SliderConfig::full_rederive) asks
-//! for the conservative mode): overdeletion to the dependency graph's
+//! Both phases restrict the rules they run: overdeletion to the
+//! dependency graph's
 //! [`reachable`](slider_rules::DependencyGraph::reachable) set of the rules
 //! consuming a retracted predicate — no other rule can have consumed a
 //! deleted triple — and rederivation to the rules whose
 //! [`OutputSignature`] can emit a deleted predicate — no other rule can
-//! rederive a deleted triple. The conservative mode always uses the
-//! forward-pass rederivation.
+//! rederive a deleted triple.
 //!
 //! The result invariant, asserted by `tests/retraction.rs` against the
 //! recompute-from-scratch oracle: after maintenance the store equals the
@@ -41,26 +39,8 @@
 
 use slider_model::{FxHashSet, NodeId, Triple};
 use slider_rules::{DependencyGraph, OutputSignature, Rule};
-use slider_store::{Overlay, StoreView, VerticalStore};
+use slider_store::VerticalStore;
 use std::sync::Arc;
-
-/// Runs `f` against a read view of `store`, overlaid on `context` when a
-/// maintenance pass is scoped to a carve of a larger store (the
-/// intra-partition subject sub-split: the pass mutates its own bucket
-/// while joining against the rest of the partition read-only).
-fn with_view<R>(
-    store: &VerticalStore,
-    context: Option<&VerticalStore>,
-    f: impl FnOnce(&StoreView) -> R,
-) -> R {
-    match context {
-        Some(ctx) => {
-            let overlay = Overlay::new(store, ctx);
-            f(&overlay.view())
-        }
-        None => f(&store.view()),
-    }
-}
 
 /// Counters of one maintenance (retraction) run.
 ///
@@ -114,19 +94,11 @@ impl RemovalOutcome {
 /// closure, rederives survivors. The caller must hold exclusive access
 /// (the reasoner passes the store behind its write lock) and guarantee the
 /// store is a closed state (quiescent — no in-flight rule instances).
-///
-/// When `context` is `Some`, `store` is a *carve* of a larger store (a
-/// subject bucket of the affected predicates) and joins read through an
-/// [`Overlay`] over the untouched remainder; mutations still land only in
-/// `store`. Soundness of restricting mutation to the carve is the
-/// caller's obligation (the planner's subject-locality gate).
 pub(crate) fn dred(
     store: &mut VerticalStore,
-    context: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     graph: &DependencyGraph,
     retracted: &[Triple],
-    full_rederive: bool,
 ) -> RemovalOutcome {
     let mut outcome = RemovalOutcome {
         requested: retracted.len(),
@@ -161,12 +133,8 @@ pub(crate) fn dred(
 
     // Overdeletion scope: only rules transitively reachable from the rules
     // that consume a retracted predicate can have used a deleted triple.
-    let over_rules: Vec<usize> = if full_rederive {
-        (0..rules.len()).collect()
-    } else {
-        let seeds: Vec<usize> = delta.iter().flat_map(|t| graph.entry_routes(t.p)).collect();
-        graph.reachable(seeds)
-    };
+    let seeds: Vec<usize> = delta.iter().flat_map(|t| graph.entry_routes(t.p)).collect();
+    let over_rules = graph.reachable(seeds);
 
     // Phase 1: overdelete. Each round joins the deletion delta against the
     // store *before* removing it (the rules' `delta ⊆ store` contract also
@@ -178,11 +146,9 @@ pub(crate) fn dred(
     let mut out: Vec<Triple> = Vec::new();
     while !delta.is_empty() {
         out.clear();
-        with_view(store, context, |view| {
-            for &i in &over_rules {
-                rules[i].apply(view, &delta, &mut out);
-            }
-        });
+        for &i in &over_rules {
+            rules[i].apply(&store.view(), &delta, &mut out);
+        }
         for &t in &delta {
             store.remove(t);
             deleted_preds.insert(t.p);
@@ -197,45 +163,29 @@ pub(crate) fn dred(
 
     // Rederivation scope: a deleted triple can only be rederived by a rule
     // whose output signature may emit its predicate.
-    let rederive_rules: Vec<usize> = if full_rederive {
-        (0..rules.len()).collect()
-    } else {
-        (0..rules.len())
-            .filter(|&i| match rules[i].output_signature() {
-                OutputSignature::Universal => true,
-                OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
-            })
-            .collect()
-    };
+    let rederive_rules: Vec<usize> = (0..rules.len())
+        .filter(|&i| match rules[i].output_signature() {
+            OutputSignature::Universal => true,
+            OutputSignature::Predicates(ps) => ps.iter().any(|p| deleted_preds.contains(p)),
+        })
+        .collect();
 
     // Phase 2: rederive (shared with ruleset-swap retraction).
-    outcome.rederived = rederive(
-        store,
-        context,
-        rules,
-        &rederive_rules,
-        &scheduled,
-        full_rederive,
-    );
+    outcome.rederived = rederive(store, rules, &rederive_rules, &scheduled);
     outcome
 }
 
 /// DRed phase 2, shared between [`dred`] and [`retract_rules`]: restores
 /// every triple in `scheduled` (the overdeleted set) that still has a
 /// derivation from the surviving store, using `rule_indices` into
-/// `rules`. `force_forward` skips the backward fast path (the
-/// conservative mode). Returns how many triples were restored.
+/// `rules`. Returns how many triples were restored.
 fn rederive(
     store: &mut VerticalStore,
-    context: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     rule_indices: &[usize],
     scheduled: &FxHashSet<Triple>,
-    force_forward: bool,
 ) -> usize {
-    // An empty bucket can still rederive from its context overlay, so the
-    // emptiness shortcut must consider both layers.
-    if rule_indices.is_empty() || (store.is_empty() && context.is_none_or(|c| c.is_empty())) {
+    if rule_indices.is_empty() || store.is_empty() {
         return 0;
     }
     let mut rederived = 0;
@@ -247,23 +197,22 @@ fn rederive(
     // we fall back to the forward pass below.
     let mut candidates: Vec<Triple> = scheduled.iter().copied().collect();
     candidates.sort_unstable(); // deterministic restoration order
-    let mut need_forward = force_forward;
+    let mut need_forward = false;
     while !need_forward {
         let mut restored: Vec<Triple> = Vec::new();
-        with_view(store, context, |view| {
-            candidates.retain(|&t| {
-                for &i in rule_indices {
-                    match rules[i].derives(view, t) {
-                        Some(true) => {
-                            restored.push(t);
-                            return false;
-                        }
-                        Some(false) => {}
-                        None => need_forward = true,
+        let view = store.view();
+        candidates.retain(|&t| {
+            for &i in rule_indices {
+                match rules[i].derives(&view, t) {
+                    Some(true) => {
+                        restored.push(t);
+                        return false;
                     }
+                    Some(false) => {}
+                    None => need_forward = true,
                 }
-                true
-            });
+            }
+            true
         });
         rederived += restored.len();
         for &t in &restored {
@@ -279,24 +228,12 @@ fn rederive(
     // semi-naive fixpoint on fresh conclusions.
     if need_forward {
         let mut out: Vec<Triple> = Vec::new();
-        // Round 0 feeds every survivor — both layers when overlaid — so
-        // any one-step-from-survivors conclusion that went missing comes
-        // back; conclusions already present in the (immutable) context
-        // must not be duplicated into the carve.
-        let mut delta: Vec<Triple> = match context {
-            Some(ctx) => store.iter().chain(ctx.iter()).collect(),
-            None => store.iter().collect(),
-        };
+        let mut delta: Vec<Triple> = store.iter().collect();
         let mut fresh: Vec<Triple> = Vec::new();
         loop {
             out.clear();
-            with_view(store, context, |view| {
-                for &i in rule_indices {
-                    rules[i].apply(view, &delta, &mut out);
-                }
-            });
-            if let Some(ctx) = context {
-                out.retain(|&t| !ctx.contains(t));
+            for &i in rule_indices {
+                rules[i].apply(&store.view(), &delta, &mut out);
             }
             fresh.clear();
             store.insert_batch(&out, &mut fresh);
@@ -333,7 +270,6 @@ pub(crate) fn retract_rules(
     old_rules: &[Arc<dyn Rule>],
     dropped: &[Arc<dyn Rule>],
     surviving: &[Arc<dyn Rule>],
-    full_rederive: bool,
 ) -> (usize, usize) {
     // Seed: derived triples a dropped rule one-step supports from the
     // current closure (or might emit, absent a backward matcher).
@@ -392,7 +328,7 @@ pub(crate) fn retract_rules(
     // Rederive with the surviving rules: whatever still has a derivation
     // under the new program comes back.
     let indices: Vec<usize> = (0..surviving.len()).collect();
-    let rederived = rederive(store, None, surviving, &indices, &scheduled, full_rederive);
+    let rederived = rederive(store, surviving, &indices, &scheduled);
     (overdeleted, rederived)
 }
 
@@ -463,11 +399,10 @@ mod tests {
         ruleset: &Ruleset,
         explicit: &[Triple],
         retract: &[Triple],
-        full: bool,
     ) -> (VerticalStore, RemovalOutcome) {
         let mut store = closed_store(ruleset, explicit);
         let graph = DependencyGraph::build(ruleset);
-        let outcome = dred(&mut store, None, ruleset.rules(), &graph, retract, full);
+        let outcome = dred(&mut store, ruleset.rules(), &graph, retract);
         (store, outcome)
     }
 
@@ -489,18 +424,15 @@ mod tests {
     fn chain_link_removal_drops_exactly_the_lost_paths() {
         let rs = Ruleset::rho_df();
         let explicit: Vec<Triple> = (1..6).map(|i| sco(i, i + 1)).collect();
-        for full in [false, true] {
-            let (store, outcome) = run(&rs, &explicit, &[sco(3, 4)], full);
-            assert_eq!(
-                store.to_sorted_vec(),
-                surviving_closure(&rs, &explicit, &[sco(3, 4)]),
-                "full_rederive={full}"
-            );
-            assert_eq!(outcome.retracted, 1);
-            assert!(outcome.overdeleted > 0);
-            // A broken chain has no alternative derivations.
-            assert_eq!(outcome.rederived, 0);
-        }
+        let (store, outcome) = run(&rs, &explicit, &[sco(3, 4)]);
+        assert_eq!(
+            store.to_sorted_vec(),
+            surviving_closure(&rs, &explicit, &[sco(3, 4)])
+        );
+        assert_eq!(outcome.retracted, 1);
+        assert!(outcome.overdeleted > 0);
+        // A broken chain has no alternative derivations.
+        assert_eq!(outcome.rederived, 0);
     }
 
     #[test]
@@ -509,7 +441,7 @@ mod tests {
         // sco(1,4), which the 1→3→4 path rederives.
         let rs = Ruleset::rho_df();
         let explicit = [sco(1, 2), sco(2, 4), sco(1, 3), sco(3, 4)];
-        let (store, outcome) = run(&rs, &explicit, &[sco(2, 4)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(2, 4)]);
         assert_eq!(
             store.to_sorted_vec(),
             surviving_closure(&rs, &explicit, &[sco(2, 4)])
@@ -523,7 +455,7 @@ mod tests {
         let rs = Ruleset::rho_df();
         // sco(1,3) asserted AND derivable from the chain.
         let explicit = [sco(1, 2), sco(2, 3), sco(1, 3)];
-        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3)]);
         assert!(store.contains(sco(1, 3)), "still derivable");
         assert!(!store.is_explicit(sco(1, 3)), "no longer asserted");
         assert_eq!(outcome.retracted, 1);
@@ -539,7 +471,7 @@ mod tests {
         let explicit = [sco(1, 2), sco(2, 3)];
         let before = closed_store(&rs, &explicit).to_sorted_vec();
         // sco(1,3) is derived-only; ty(9,9) is absent.
-        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3), ty(9, 9)], false);
+        let (store, outcome) = run(&rs, &explicit, &[sco(1, 3), ty(9, 9)]);
         assert_eq!(store.to_sorted_vec(), before);
         assert_eq!(outcome.requested, 2);
         assert_eq!(outcome.retracted, 0);
@@ -564,7 +496,7 @@ mod tests {
             ty(9, 9),
             ty(9, 9),
         ];
-        let (_, outcome) = run(&rs, &explicit, &retract, false);
+        let (_, outcome) = run(&rs, &explicit, &retract);
         assert_eq!(outcome.requested, 6);
         assert_eq!(outcome.retracted, 1);
         assert_eq!(outcome.ignored_derived, 1);
@@ -577,7 +509,7 @@ mod tests {
         // a ⊑ b ⊑ a derives the reflexive edges; retracting one direction
         // must tear the whole cycle's derived closure down.
         let explicit = [sco(1, 2), sco(2, 1)];
-        let (store, _) = run(&rs, &explicit, &[sco(1, 2)], false);
+        let (store, _) = run(&rs, &explicit, &[sco(1, 2)]);
         assert_eq!(
             store.to_sorted_vec(),
             surviving_closure(&rs, &explicit, &[sco(1, 2)])
@@ -604,72 +536,73 @@ mod tests {
             vec![ty(9, 1), sco(1, 2)],
             vec![Triple::new(n(7), n(5), n(8))],
         ] {
-            for full in [false, true] {
-                let (store, _) = run(&rs, &explicit, &retract, full);
-                assert_eq!(
-                    store.to_sorted_vec(),
-                    surviving_closure(&rs, &explicit, &retract),
-                    "retract {retract:?} full_rederive={full}"
-                );
-            }
+            let (store, _) = run(&rs, &explicit, &retract);
+            assert_eq!(
+                store.to_sorted_vec(),
+                surviving_closure(&rs, &explicit, &retract),
+                "retract {retract:?}"
+            );
         }
     }
 
-    /// Subject-bucketed DRed over a context overlay reaches the same
-    /// store and the same merged counters as one whole-store pass — the
-    /// invariant the two-level flush planner relies on.
+    /// Per-partition DRed over split-off shards reaches the same store
+    /// and the same merged counters as one whole-store pass — the
+    /// invariant the partition planner relies on.
     #[test]
-    fn bucketed_dred_with_context_matches_whole_store() {
-        use slider_rules::Subsumption;
-        use slider_store::subject_bucket;
+    fn partitioned_dred_matches_whole_store() {
+        use slider_rules::{Subsumption, Transitive};
 
-        const IS: NodeId = NodeId(70);
-        const SUB: NodeId = NodeId(71);
-        let rs = Ruleset::custom("membership").with(Subsumption::new("SUB", IS, SUB));
+        let p = |v: u64| NodeId(5_000 + v);
+        let rs = Ruleset::custom("two-families")
+            .with(Transitive::new("T-A", p(0)))
+            .with(Subsumption::new("S-A", p(1), p(0)))
+            .with(Transitive::new("T-B", p(10)))
+            .with(Subsumption::new("S-B", p(11), p(10)));
         let graph = DependencyGraph::build(&rs);
-        let class = |c: u64| Triple::new(n(100 + c), SUB, n(101 + c));
-        let is = |x: u64, c: u64| Triple::new(n(x), IS, n(100 + c));
-        let mut explicit: Vec<Triple> = (0..4).map(class).collect();
-        for x in 0..24 {
-            explicit.push(is(x, x % 3));
+        assert_eq!(graph.partition_count(), 2);
+        let mut explicit = Vec::new();
+        for base in [0, 10] {
+            explicit.extend((1..6).map(|i| Triple::new(n(i), p(base), n(i + 1))));
+            explicit.extend((0..6).map(|x| Triple::new(n(100 + x), p(base + 1), n(1 + x % 3))));
         }
-        let retract: Vec<Triple> = (0..24).step_by(2).map(|x| is(x, x % 3)).collect();
+        let retract = [
+            Triple::new(n(3), p(0), n(4)),
+            Triple::new(n(101), p(1), n(2)),
+            Triple::new(n(2), p(10), n(3)),
+            Triple::new(n(104), p(11), n(2)),
+        ];
 
         let mut whole = closed_store(&rs, &explicit);
-        let whole_outcome = dred(&mut whole, None, rs.rules(), &graph, &retract, false);
+        let whole_outcome = dred(&mut whole, rs.rules(), &graph, &retract);
 
-        const K: usize = 3;
-        let mut ctx = closed_store(&rs, &explicit);
-        let mut affected = ctx.split_off(&[IS]);
+        let mut rest = closed_store(&rs, &explicit);
         let mut merged = RemovalOutcome::default();
-        let mut rejoined = ctx.clone();
-        for k in 0..K {
-            let mut bucket = affected.split_off_subjects(|s| subject_bucket(s, K) == k);
+        for c in 0..graph.partition_count() {
+            let preds = graph
+                .component_predicates(c)
+                .expect("predicate-scoped family");
+            let mut shard = rest.split_off(preds);
             let seeds: Vec<Triple> = retract
                 .iter()
                 .copied()
-                .filter(|t| subject_bucket(t.s, K) == k)
+                .filter(|t| graph.component_of_predicate(t.p) == Some(c))
                 .collect();
-            merged.merge(dred(
-                &mut bucket,
-                Some(&ctx),
-                rs.rules(),
-                &graph,
-                &seeds,
-                false,
-            ));
-            rejoined.absorb(bucket);
+            merged.merge(dred(&mut shard, rs.rules(), &graph, &seeds));
+            rest.absorb(shard);
         }
-        assert!(affected.is_empty(), "every subject landed in some bucket");
-        assert_eq!(rejoined.to_sorted_vec(), whole.to_sorted_vec());
+        assert_eq!(rest.to_sorted_vec(), whole.to_sorted_vec());
         assert_eq!(merged, whole_outcome);
+        assert_eq!(
+            whole.to_sorted_vec(),
+            surviving_closure(&rs, &explicit, &retract)
+        );
     }
 
     #[test]
     fn empty_ruleset_just_deletes() {
         let rs = Ruleset::custom("none");
         let explicit = [ty(1, 2), ty(3, 4)];
-        let (store, outcome) = run(&rs, &explicit, &[ty(1, 2)], false);
+        let (store, outcome) = run(&rs, &explicit, &[ty(1, 2)]);
         assert_eq!(store.to_sorted_vec(), vec![ty(3, 4)]);
         assert_eq!(outcome.retracted, 1);
         assert_eq!(outcome.net_deleted(), 1);

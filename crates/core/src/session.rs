@@ -18,8 +18,7 @@ use crossbeam::channel::unbounded;
 use parking_lot::{Mutex, RwLock};
 use slider_model::{Dictionary, FxHashSet, NodeId, SweepOutcome, TermTriple, Triple};
 use slider_rules::{DependencyGraph, Fragment, InputFilter, Rule, Ruleset};
-use slider_store::{subject_bucket, ShardedStore, VerticalStore};
-use std::collections::BTreeMap;
+use slider_store::{ShardedStore, VerticalStore};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -149,15 +148,9 @@ pub(crate) struct Engine {
     /// Serialises DRed maintenance runs (see [`Slider::remove_triples`])
     /// and ruleset swaps — a swap is a maintenance operation.
     maintenance: Mutex<()>,
-    /// Conservative-maintenance switch (see `SliderConfig::full_rederive`).
-    full_rederive: bool,
     /// Partitioned-flush switch (see
     /// `SliderConfig::maintenance_partitioning`).
     partitioning: bool,
-    /// Intra-partition subject sub-split factor (see
-    /// `SliderConfig::deletion_subsplit`); 1 disables the planner's
-    /// second level.
-    subsplit: usize,
     /// Eager removals waiting to be combined: a caller enqueues its batch
     /// here before blocking on the maintenance mutex, and whichever
     /// caller acquires the mutex with an unserved slot drains the queue
@@ -194,11 +187,7 @@ pub(crate) struct Engine {
 /// for its liveness scan, whatever the ratio says.
 const DICT_SWEEP_MIN_RETIRED: usize = 1024;
 
-/// Pending sets below this size never sub-split: a one-seed partition has
-/// nothing to parallelise by subject.
-const SUBSPLIT_MIN_PENDING: usize = 2;
-
-/// One first-level bucket of a partitioned maintenance plan: the pending
+/// One bucket of a partitioned maintenance plan: the pending
 /// retractions that map to one maintenance partition, plus the predicates
 /// whose tables that partition's DRed pass may touch (split off as a
 /// store shard).
@@ -208,13 +197,6 @@ struct PendingGroup {
     /// flush is a single batch 0; an eager combining run keeps one batch
     /// per caller so each caller gets its own [`RemovalOutcome`].
     triples: Vec<(usize, Triple)>,
-    /// `Some(closure)` when the group passes the subject-locality gate
-    /// and sub-splits: the *affected predicate closure* whose tables are
-    /// carved into subject-hash buckets, each maintained by its own DRed
-    /// unit over a read-only overlay of the rest of the partition (the
-    /// planner's second level; see
-    /// [`DependencyGraph::subsplit_affected`]).
-    affected: Option<Vec<slider_model::NodeId>>,
 }
 
 /// One caller's batch in a combining eager-removal run: the leader that
@@ -227,36 +209,12 @@ struct EagerBatch {
     done: Mutex<Option<RemovalOutcome>>,
 }
 
-/// Shape of an executed maintenance run, for counters and trace events:
-/// how many first-level groups the plan had, how many units actually ran
-/// (a sub-split group contributes one unit per occupied subject bucket),
-/// and how many of those units were subject-bucket carves.
-#[derive(Clone, Copy)]
-struct RunShape {
-    partitions: usize,
-    units: usize,
-    subpartitions: usize,
-}
-
-impl RunShape {
-    /// The unplanned single DRed pass over the whole store.
-    fn single_pass() -> Self {
-        RunShape {
-            partitions: 1,
-            units: 1,
-            subpartitions: 0,
-        }
-    }
-}
-
-/// Runs one unit of deletion work: the batch-labelled `seeds` grouped by
-/// batch, one DRed pass per non-empty batch in batch order, each joining
-/// through `ctx` (the read-only rest of the unit's partition) when the
-/// unit is a subject-bucket carve. Returns one outcome per batch —
-/// empty batches stay zeroed, exactly what a serial run would report.
-fn run_unit(
+/// Runs one partition's deletion work: the batch-labelled `seeds`
+/// grouped by batch, one DRed pass per non-empty batch in batch order.
+/// Returns one outcome per batch — empty batches stay zeroed, exactly
+/// what a serial run would report.
+fn run_group(
     store: &mut VerticalStore,
-    ctx: Option<&VerticalStore>,
     rules: &[Arc<dyn Rule>],
     graph: &DependencyGraph,
     seeds: &[(usize, Triple)],
@@ -271,7 +229,7 @@ fn run_unit(
         if ts.is_empty() {
             continue;
         }
-        outcomes[b] = maintenance::dred(store, ctx, rules, graph, ts, false);
+        outcomes[b] = maintenance::dred(store, rules, graph, ts);
     }
     outcomes
 }
@@ -612,10 +570,9 @@ impl Engine {
     /// for the linearisation contract), with **combining**: callers
     /// blocked behind a running maintenance pass are drained together by
     /// whichever caller acquires the mutex next, and their batches go
-    /// through the same two-level planner as a coalesced flush — eager
-    /// removals whose downward closures are provably disjoint (different
-    /// rule families, or different subject buckets of a subject-local
-    /// family) run as concurrent units under one quiescent section.
+    /// through the same partition planner as a coalesced flush — eager
+    /// removals in different rule families (disjoint maintenance
+    /// partitions) run as concurrent passes under one quiescent section.
     /// Batch boundaries are preserved: each caller's outcome counts
     /// exactly its own triples, field for field as a serial run would.
     fn remove_eager(&self, triples: &[Triple]) -> RemovalOutcome {
@@ -650,53 +607,30 @@ impl Engine {
             .enumerate()
             .flat_map(|(b, eb)| eb.triples.iter().map(move |&t| (b, t)))
             .collect();
-        let ((outcomes, shape), store_size) = self.with_quiescent_store(|store| {
-            let (outcomes, shape): (Vec<RemovalOutcome>, RunShape) = match self
-                .plan_flush(&state, store, &labelled)
-            {
-                Some(groups) => self.run_partitions(&state, store, &rules, groups, batches.len()),
-                None => {
-                    bump(&self.globals.coordinator_work, store.len() as u64);
-                    let outcomes = batches
-                        .iter()
-                        .map(|eb| {
-                            maintenance::dred(
-                                store,
-                                None,
-                                &rules,
-                                &state.graph,
-                                &eb.triples,
-                                self.full_rederive,
-                            )
-                        })
-                        .collect();
-                    (outcomes, RunShape::single_pass())
-                }
-            };
+        let ((outcomes, partitions), store_size) = self.with_quiescent_store(|store| {
+            let (outcomes, partitions): (Vec<RemovalOutcome>, usize) =
+                match self.plan_flush(&state, store, &labelled) {
+                    Some(groups) => {
+                        let partitions = groups.len();
+                        let outcomes =
+                            self.run_partitions(&state, store, &rules, groups, batches.len());
+                        (outcomes, partitions)
+                    }
+                    None => {
+                        bump(&self.globals.coordinator_work, store.len() as u64);
+                        let outcomes = batches
+                            .iter()
+                            .map(|eb| maintenance::dred(store, &rules, &state.graph, &eb.triples))
+                            .collect();
+                        (outcomes, 1)
+                    }
+                };
             let retired: usize = outcomes.iter().map(|o| o.retracted + o.overdeleted).sum();
             self.maybe_sweep_dict(store, retired);
-            (outcomes, shape)
+            (outcomes, partitions)
         });
-        if shape.units >= 2 {
+        if partitions >= 2 {
             bump(&self.globals.parallel_eager_runs, 1);
-        }
-        if shape.subpartitions > 0 {
-            bump(&self.globals.subpartitioned_runs, 1);
-            if let Some(log) = &self.log {
-                let mut total = RemovalOutcome::default();
-                for o in &outcomes {
-                    total.merge(*o);
-                }
-                log.record(EventKind::SubpartitionedRemoval {
-                    pending: labelled.len(),
-                    partitions: shape.partitions,
-                    subpartitions: shape.subpartitions,
-                    retracted: total.retracted,
-                    overdeleted: total.overdeleted,
-                    rederived: total.rederived,
-                    store_size,
-                });
-            }
         }
         for (eb, outcome) in batches.iter().zip(&outcomes) {
             self.bump_removal_counters(outcome);
@@ -756,8 +690,8 @@ impl Engine {
         }
         let state = self.rstate();
         let rules: Vec<Arc<dyn Rule>> = state.modules.iter().map(|m| Arc::clone(&m.rule)).collect();
-        let ((outcome, pending_len, shape, remaining), store_size) =
-            self.with_quiescent_store(|store| {
+        let ((outcome, pending_len, partitions, remaining), store_size) = self
+            .with_quiescent_store(|store| {
                 // Drain *under the maintenance gate (write mode), after the quiescence
                 // re-check*: this is the flush's linearisation point. Any
                 // assertion either completed earlier (its re-assertion
@@ -768,66 +702,38 @@ impl Engine {
                 let pending = self.scheduler.drain_up_to(limit);
                 let remaining = self.scheduler.pending();
                 if pending.is_empty() {
-                    return (
-                        RemovalOutcome::default(),
-                        0,
-                        RunShape::single_pass(),
-                        remaining,
-                    );
+                    return (RemovalOutcome::default(), 0, 1, remaining);
                 }
                 // A coalesced flush is one source batch (label 0): the
                 // planner's batch labels only matter to eager combining.
                 let labelled: Vec<(usize, Triple)> = pending.iter().map(|&t| (0, t)).collect();
-                let (outcome, shape) = match self.plan_flush(&state, store, &labelled) {
+                let (outcome, partitions) = match self.plan_flush(&state, store, &labelled) {
                     Some(groups) => {
-                        let (outcomes, shape) =
-                            self.run_partitions(&state, store, &rules, groups, 1);
-                        (outcomes[0], shape)
+                        let partitions = groups.len();
+                        let outcomes = self.run_partitions(&state, store, &rules, groups, 1);
+                        (outcomes[0], partitions)
                     }
                     None => {
                         bump(&self.globals.coordinator_work, store.len() as u64);
-                        (
-                            maintenance::dred(
-                                store,
-                                None,
-                                &rules,
-                                &state.graph,
-                                &pending,
-                                self.full_rederive,
-                            ),
-                            RunShape::single_pass(),
-                        )
+                        (maintenance::dred(store, &rules, &state.graph, &pending), 1)
                     }
                 };
                 self.maybe_sweep_dict(store, outcome.retracted + outcome.overdeleted);
-                (outcome, pending.len(), shape, remaining)
+                (outcome, pending.len(), partitions, remaining)
             });
         if pending_len == 0 {
             return (outcome, remaining);
         }
         self.bump_removal_counters(&outcome);
         bump(&self.globals.coalesced_runs, 1);
-        if shape.partitions > 1 {
+        if partitions > 1 {
             bump(&self.globals.partitioned_runs, 1);
         }
-        if shape.subpartitions > 0 {
-            bump(&self.globals.subpartitioned_runs, 1);
-        }
         if let Some(log) = &self.log {
-            if shape.subpartitions > 0 {
-                log.record(EventKind::SubpartitionedRemoval {
-                    pending: pending_len,
-                    partitions: shape.partitions,
-                    subpartitions: shape.subpartitions,
-                    retracted: outcome.retracted,
-                    overdeleted: outcome.overdeleted,
-                    rederived: outcome.rederived,
-                    store_size,
-                });
-            } else if shape.partitions > 1 {
+            if partitions > 1 {
                 log.record(EventKind::PartitionedRemoval {
                     pending: pending_len,
-                    partitions: shape.partitions,
+                    partitions,
                     retracted: outcome.retracted,
                     overdeleted: outcome.overdeleted,
                     rederived: outcome.rederived,
@@ -964,24 +870,17 @@ impl Engine {
         }
     }
 
-    /// The two-level maintenance planner. **First level**: buckets
-    /// `pending` by maintenance partition
-    /// ([`DependencyGraph::component_of_predicate`]). **Second level**:
-    /// a bucket whose partition passes the subject-locality gate
-    /// ([`DependencyGraph::subsplit_affected`]) with
-    /// [`SliderConfig::deletion_subsplit`] ≥ 2 and seeds in at least two
-    /// subject-hash buckets gets `affected: Some(closure)` — its affected
-    /// tables will be carved by subject so each carve runs its own DRed
-    /// unit. Returns `None` when the flush must stay single-pass:
-    /// partitioning disabled, conservative (`full_rederive`) mode, fewer
-    /// than two buckets with nothing to sub-split, a bucket whose
+    /// The maintenance planner: buckets `pending` by maintenance partition
+    /// ([`DependencyGraph::component_of_predicate`]), one DRed pass per
+    /// bucket. Returns `None` when the flush must stay single-pass:
+    /// partitioning disabled, fewer than two buckets, a bucket whose
     /// partition owns every predicate (universal rules), or an involved
     /// rule without a backward matcher.
     ///
     /// The returned groups are **size-ordered, largest footprint first**
     /// (a bucket's footprint is the store population of the predicates
     /// its DRed pass owns): [`Engine::run_partitions`] keeps the largest
-    /// unit on the coordinator thread while the rest execute on the
+    /// bucket on the coordinator thread while the rest execute on the
     /// pool, so the group most likely to dominate the flush's critical
     /// path never waits behind a busy worker queue. Ties break on
     /// component id, the inert bucket last, keeping the plan
@@ -993,7 +892,7 @@ impl Engine {
         pending: &[(usize, Triple)],
     ) -> Option<Vec<PendingGroup>> {
         use slider_model::FxHashMap;
-        if !self.partitioning || self.full_rederive {
+        if !self.partitioning {
             return None;
         }
         let mut pred_comp: FxHashMap<NodeId, Option<usize>> = FxHashMap::default();
@@ -1004,7 +903,7 @@ impl Engine {
                 .or_insert_with(|| state.graph.component_of_predicate(t.p));
             by_comp.entry(comp).or_default().push((b, t));
         }
-        if by_comp.len() < 2 && self.subsplit < 2 {
+        if by_comp.len() < 2 {
             return None;
         }
         let mut buckets: Vec<_> = by_comp.into_iter().collect();
@@ -1012,7 +911,6 @@ impl Engine {
         // arbitrary); the weight sort below is stable.
         buckets.sort_by_key(|(comp, _)| (comp.is_none(), comp.unwrap_or(0)));
         let mut groups = Vec::with_capacity(buckets.len());
-        let mut any_subsplit = false;
         for (comp, triples) in buckets {
             let preds = match comp {
                 Some(c) => {
@@ -1030,70 +928,28 @@ impl Engine {
                     preds
                 }
             };
-            // Second level: sub-split only when the affected closure is
-            // provably subject-local *and* the seeds actually spread over
-            // at least two subject-hash buckets (one bucket would just be
-            // the whole-partition pass with extra carving).
-            let affected = match comp {
-                Some(c) if self.subsplit > 1 && triples.len() >= SUBSPLIT_MIN_PENDING => {
-                    let mut seed_preds: Vec<NodeId> = triples.iter().map(|&(_, t)| t.p).collect();
-                    seed_preds.sort_unstable();
-                    seed_preds.dedup();
-                    state.graph.subsplit_affected(c, &seed_preds).filter(|_| {
-                        let spread: std::collections::BTreeSet<usize> = triples
-                            .iter()
-                            .map(|&(_, t)| subject_bucket(t.s, self.subsplit))
-                            .collect();
-                        spread.len() >= 2
-                    })
-                }
-                _ => None,
-            };
-            any_subsplit |= affected.is_some();
             let weight: usize = preds.iter().map(|&p| store.count_with_p(p)).sum();
-            groups.push((
-                weight,
-                PendingGroup {
-                    preds,
-                    triples,
-                    affected,
-                },
-            ));
-        }
-        if groups.len() < 2 && !any_subsplit {
-            return None;
+            groups.push((weight, PendingGroup { preds, triples }));
         }
         groups.sort_by_key(|&(weight, _)| std::cmp::Reverse(weight));
         Some(groups.into_iter().map(|(_, g)| g).collect())
     }
 
-    /// Executes one planned maintenance run. The plan's groups become
-    /// **units** of deletion work:
-    ///
-    /// * A non-sub-split group is one unit. The largest such group (the
-    ///   plan's head, when it exists) runs directly on the main store —
-    ///   its pass only touches its own partition's tables; the rest have
-    ///   their footprints split off as self-contained shards (tables move
-    ///   wholesale, provenance flags included).
-    /// * A sub-split group (`affected: Some`) becomes one unit per
-    ///   occupied subject-hash bucket: its affected tables are carved by
-    ///   subject range, and each carve's DRed pass joins through a
-    ///   read-only [`Overlay`](slider_store::Overlay) of the partition's
-    ///   non-affected remainder (shared `Arc` context).
-    ///
-    /// The calling thread runs the heaviest unit itself (recorded in
-    /// [`StatsSnapshot::coordinator_work`](crate::StatsSnapshot::coordinator_work));
-    /// every other unit executes as a [`Job::Partition`] on the worker
-    /// pool, and the shards are absorbed back as they complete. Sound
-    /// because the units' *mutable* footprints are disjoint by
-    /// construction — no unit writes a triple another unit reads: the
-    /// first level is disjoint by maintenance partition, the second by
-    /// the planner's subject-locality gate. The caller holds the store's
-    /// maintenance gate in write mode and the maintenance mutex; the pool
-    /// is quiescent, so partition jobs are the only work.
+    /// Executes one planned maintenance run, one DRed pass per group. The
+    /// plan's head (the largest group) runs directly on the main store on
+    /// the calling thread — its pass only touches its own partition's
+    /// tables — and its footprint is recorded in
+    /// [`StatsSnapshot::coordinator_work`](crate::StatsSnapshot::coordinator_work).
+    /// Every other group has its footprint split off as a self-contained
+    /// shard (tables move wholesale, provenance flags included), runs as a
+    /// [`Job::Partition`] on the worker pool, and is absorbed back when it
+    /// completes. Sound because maintenance partitions are disjoint: no
+    /// pass writes a triple another pass reads. The caller holds the
+    /// store's maintenance gate in write mode and the maintenance mutex;
+    /// the pool is quiescent, so partition jobs are the only work.
     ///
     /// Seeds are labelled by source batch (`batches` of them): within a
-    /// unit, batches run as sequential DRed passes in batch order, so the
+    /// group, batches run as sequential DRed passes in batch order, so the
     /// returned per-batch outcomes match a serial run field for field.
     fn run_partitions(
         &self,
@@ -1102,110 +958,20 @@ impl Engine {
         rules: &[Arc<dyn Rule>],
         groups: Vec<PendingGroup>,
         batches: usize,
-    ) -> (Vec<RemovalOutcome>, RunShape) {
-        struct Unit {
-            /// `None` = run on the main store (largest non-sub-split
-            /// group only).
-            carve: Option<VerticalStore>,
-            context: Option<Arc<VerticalStore>>,
-            seeds: Vec<(usize, Triple)>,
-            weight: usize,
-        }
-        let shape_partitions = groups.len();
-        let mut units: Vec<Unit> = Vec::new();
-        // Sub-split leftovers to restore after the run: each sub-split
-        // group's seedless affected residual and its shared context.
-        let mut residuals: Vec<VerticalStore> = Vec::new();
-        let mut contexts: Vec<Arc<VerticalStore>> = Vec::new();
-        let mut subpartitions = 0usize;
-        for (gi, group) in groups.into_iter().enumerate() {
-            match group.affected {
-                Some(affected) => {
-                    // Carve the family, then the affected closure out of
-                    // it; what remains of the family is the read-only
-                    // context every bucket joins through.
-                    let mut family = store.split_off(&group.preds);
-                    let mut affected_store = family.split_off(&affected);
-                    let ctx = Arc::new(family);
-                    let mut by_bucket: BTreeMap<usize, Vec<(usize, Triple)>> = BTreeMap::new();
-                    for &(b, t) in &group.triples {
-                        by_bucket
-                            .entry(subject_bucket(t.s, self.subsplit))
-                            .or_default()
-                            .push((b, t));
-                    }
-                    for (bk, seeds) in by_bucket {
-                        let carve = affected_store
-                            .split_off_subjects(|s| subject_bucket(s, self.subsplit) == bk);
-                        subpartitions += 1;
-                        units.push(Unit {
-                            weight: carve.len(),
-                            carve: Some(carve),
-                            context: Some(Arc::clone(&ctx)),
-                            seeds,
-                        });
-                    }
-                    residuals.push(affected_store);
-                    contexts.push(ctx);
-                }
-                None if gi == 0 => units.push(Unit {
-                    weight: group.preds.iter().map(|&p| store.count_with_p(p)).sum(),
-                    carve: None,
-                    context: None,
-                    seeds: group.triples,
-                }),
-                None => {
-                    let carve = store.split_off(&group.preds);
-                    units.push(Unit {
-                        weight: carve.len(),
-                        carve: Some(carve),
-                        context: None,
-                        seeds: group.triples,
-                    });
-                }
-            }
-        }
-        let shape = RunShape {
-            partitions: shape_partitions,
-            units: units.len(),
-            subpartitions,
-        };
-        // The coordinator takes the main-store unit when one exists (it
-        // cannot be dispatched — it *is* the store), otherwise the
-        // heaviest carve; everything else goes to the pool.
-        let coord = units
-            .iter()
-            .position(|u| u.carve.is_none())
-            .unwrap_or_else(|| {
-                let mut best = 0;
-                for (i, u) in units.iter().enumerate() {
-                    if u.weight > units[best].weight {
-                        best = i;
-                    }
-                }
-                best
-            });
-        let coordinator = units.swap_remove(coord);
+    ) -> Vec<RemovalOutcome> {
+        let mut groups = groups.into_iter();
+        let coordinator = groups.next().expect("a plan has at least two groups");
         let (tx, rx) = unbounded();
         let mut expected = 0usize;
-        for unit in units {
-            let carve = unit
-                .carve
-                .expect("only the coordinator unit runs on the main store");
-            let ctx = unit.context;
-            let seeds = unit.seeds;
+        for group in groups {
+            let carve = store.split_off(&group.preds);
+            let seeds = group.triples;
             let rules = rules.to_vec();
             let graph = Arc::clone(&state.graph);
             let tx = tx.clone();
             let task: Box<dyn FnOnce() + Send> = Box::new(move || {
                 let mut carve = carve;
-                let outcomes =
-                    run_unit(&mut carve, ctx.as_deref(), &rules, &graph, &seeds, batches);
-                // Drop the context handle *before* sending: the channel's
-                // release/acquire pairing then guarantees the coordinator
-                // (which receives every result before reclaiming the
-                // contexts) sees a sole-owner `Arc`.
-                drop(ctx);
+                let outcomes = run_group(&mut carve, &rules, &graph, &seeds, batches);
                 // Receiver outliving the flush is guaranteed: the
                 // coordinator below collects exactly this many results.
                 let _ = tx.send((carve, outcomes));
@@ -1228,29 +994,13 @@ impl Engine {
         // surfaces as the `expect` below instead of a recv() that blocks
         // forever while holding the store exclusively.
         drop(tx);
-        bump(&self.globals.coordinator_work, coordinator.weight as u64);
-        let Unit {
-            carve,
-            context,
-            seeds,
-            ..
-        } = coordinator;
-        let mut merged = match carve {
-            None => run_unit(store, None, rules, &state.graph, &seeds, batches),
-            Some(mut carve) => {
-                let outcomes = run_unit(
-                    &mut carve,
-                    context.as_deref(),
-                    rules,
-                    &state.graph,
-                    &seeds,
-                    batches,
-                );
-                store.absorb(carve);
-                outcomes
-            }
-        };
-        drop(context);
+        let weight: usize = coordinator
+            .preds
+            .iter()
+            .map(|&p| store.count_with_p(p))
+            .sum();
+        bump(&self.globals.coordinator_work, weight as u64);
+        let mut merged = run_group(store, rules, &state.graph, &coordinator.triples, batches);
         for _ in 0..expected {
             let (carve, outcomes) = rx
                 .recv()
@@ -1260,16 +1010,7 @@ impl Engine {
                 m.merge(*o);
             }
         }
-        // Restore what the sub-split carving displaced: seedless affected
-        // residuals and the shared contexts (sole-owned again now that
-        // every unit has reported — see the `drop(ctx)` ordering above).
-        for residual in residuals {
-            store.absorb(residual);
-        }
-        for ctx in contexts {
-            store.absorb(Arc::try_unwrap(ctx).unwrap_or_else(|arc| (*arc).clone()));
-        }
-        (merged, shape)
+        merged
     }
 
     /// Replaces the ruleset on the live engine (see
@@ -1313,13 +1054,7 @@ impl Engine {
             let (overdeleted, rederived) = if dropped.is_empty() {
                 (0, 0)
             } else {
-                maintenance::retract_rules(
-                    store,
-                    &old_rules,
-                    &dropped,
-                    &surviving,
-                    self.full_rederive,
-                )
+                maintenance::retract_rules(store, &old_rules, &dropped, &surviving)
             };
             let inferred = if added.is_empty() {
                 0
@@ -1473,9 +1208,7 @@ impl Slider {
                 .adaptive_buffers
                 .then(|| (base_capacity, base_capacity.saturating_mul(64))),
             maintenance: Mutex::new(()),
-            full_rederive: config.full_rederive,
             partitioning: config.maintenance_partitioning,
-            subsplit: config.deletion_subsplit.max(1),
             eager_queue: Mutex::new(Vec::new()),
             scheduler: MaintenanceScheduler::new(
                 config.maintenance_batch,
@@ -1924,7 +1657,6 @@ impl Slider {
             pending_removals: engine.scheduler.pending(),
             coalesced_runs: engine.globals.coalesced_runs.load(Ordering::Relaxed),
             partitioned_runs: engine.globals.partitioned_runs.load(Ordering::Relaxed),
-            subpartitioned_runs: engine.globals.subpartitioned_runs.load(Ordering::Relaxed),
             parallel_eager_runs: engine.globals.parallel_eager_runs.load(Ordering::Relaxed),
             coordinator_work: engine.globals.coordinator_work.load(Ordering::Relaxed),
             oldest_pending_age: engine.scheduler.oldest_age(),

@@ -65,13 +65,11 @@ pub(crate) struct GlobalCounters {
     pub coalesced_runs: AtomicU64,
     /// Coalesced runs that split into ≥ 2 parallel partition passes.
     pub partitioned_runs: AtomicU64,
-    /// Maintenance runs (coalesced or eager) in which at least one
-    /// partition's pass was further carved into subject-hash sub-buckets.
-    pub subpartitioned_runs: AtomicU64,
-    /// Eager removal passes that dispatched ≥ 2 concurrent DRed units
-    /// (independent eager callers combined under one quiescent section).
+    /// Eager removal passes that dispatched ≥ 2 concurrent partition
+    /// passes (independent eager callers combined under one quiescent
+    /// section).
     pub parallel_eager_runs: AtomicU64,
-    /// Cumulative store-population weight of the DRed units run on the
+    /// Cumulative store-population weight of the DRed passes run on the
     /// coordinator thread — the deletion path's critical-path metric.
     pub coordinator_work: AtomicU64,
     /// Live ruleset replacements completed by `swap_ruleset`.
@@ -155,21 +153,16 @@ pub struct StatsSnapshot {
     /// executed in parallel on the worker pool (see
     /// [`SliderConfig::maintenance_partitioning`](crate::SliderConfig::maintenance_partitioning)).
     pub partitioned_runs: u64,
-    /// Maintenance runs (coalesced or eager) in which at least one
-    /// partition's DRed pass was further carved into subject-hash
-    /// sub-buckets maintained in parallel (see
-    /// [`SliderConfig::deletion_subsplit`](crate::SliderConfig::deletion_subsplit)).
-    pub subpartitioned_runs: u64,
-    /// Eager removal passes that dispatched ≥ 2 concurrent DRed units:
-    /// independent `remove_triples` callers whose closures proved
-    /// disjoint were combined by one leader and maintained in parallel
-    /// under a single quiescent section.
+    /// Eager removal passes that dispatched ≥ 2 concurrent partition
+    /// passes: independent `remove_triples` callers in different
+    /// maintenance partitions were combined by one leader and maintained
+    /// in parallel under a single quiescent section.
     pub parallel_eager_runs: u64,
-    /// Cumulative store-population weight of the DRed units run on the
-    /// coordinator thread (an unsplit pass weighs the whole store it
-    /// walks; a partition or sub-bucket unit weighs its carve). The
-    /// deletion path's critical-path metric: sub-splitting shrinks it
-    /// even on one core, and on multi-core it tracks flush wall-clock.
+    /// Cumulative store-population weight of the DRed passes run on the
+    /// coordinator thread (a single pass weighs the whole store it walks;
+    /// a partitioned run's coordinator pass weighs its partition's
+    /// tables). The deletion path's critical-path metric: on multi-core
+    /// it tracks flush wall-clock.
     pub coordinator_work: u64,
     /// Age of the oldest pending retraction at snapshot time — the
     /// **staleness bound**: every query answered now reflects a closure at
@@ -281,8 +274,14 @@ impl std::fmt::Display for StatsSnapshot {
         if self.removal_runs > 0 {
             writeln!(
                 f,
-                "removals: {} runs, {} retracted, {} overdeleted, {} rederived",
-                self.removal_runs, self.retracted, self.overdeleted, self.rederived
+                "removals: {} runs, {} retracted, {} overdeleted, {} rederived, \
+                 {} parallel eager runs, {} coordinator work",
+                self.removal_runs,
+                self.retracted,
+                self.overdeleted,
+                self.rederived,
+                self.parallel_eager_runs,
+                self.coordinator_work
             )?;
         }
         if self.deferred > 0 {
@@ -300,14 +299,6 @@ impl std::fmt::Display for StatsSnapshot {
                 write!(f, ", oldest pending {:.1} ms", age.as_secs_f64() * 1e3)?;
             }
             writeln!(f)?;
-        }
-        if self.subpartitioned_runs > 0 || self.parallel_eager_runs > 0 {
-            writeln!(
-                f,
-                "subsplit: {} subpartitioned runs, {} parallel eager runs, \
-                 {} coordinator work",
-                self.subpartitioned_runs, self.parallel_eager_runs, self.coordinator_work
-            )?;
         }
         writeln!(
             f,
@@ -382,7 +373,6 @@ mod tests {
             pending_removals: 0,
             coalesced_runs: 0,
             partitioned_runs: 0,
-            subpartitioned_runs: 0,
             parallel_eager_runs: 0,
             coordinator_work: 0,
             oldest_pending_age: None,
@@ -424,8 +414,13 @@ mod tests {
         with_removals.retracted = 2;
         with_removals.overdeleted = 3;
         with_removals.rederived = 1;
+        with_removals.parallel_eager_runs = 1;
+        with_removals.coordinator_work = 40;
         let text = with_removals.to_string();
-        assert!(text.contains("removals: 1 runs, 2 retracted, 3 overdeleted, 1 rederived"));
+        assert!(text.contains(
+            "removals: 1 runs, 2 retracted, 3 overdeleted, 1 rederived, \
+             1 parallel eager runs, 40 coordinator work"
+        ));
         // Deferred line only appears once something was deferred.
         assert!(!text.contains("deferred:"));
         with_removals.deferred = 5;
@@ -436,15 +431,6 @@ mod tests {
         let text = with_removals.to_string();
         assert!(text.contains(
             "deferred: 5 enqueued, 2 pending, 1 coalesced runs, 1 partitioned, 3 cancelled"
-        ));
-        // The sub-split line only appears once a run actually sub-split
-        // (or combined eager callers).
-        assert!(!text.contains("subsplit:"));
-        with_removals.subpartitioned_runs = 2;
-        with_removals.parallel_eager_runs = 1;
-        with_removals.coordinator_work = 40;
-        assert!(with_removals.to_string().contains(
-            "subsplit: 2 subpartitioned runs, 1 parallel eager runs, 40 coordinator work"
         ));
         // The staleness bound only renders while something is pending.
         assert!(!text.contains("oldest pending"));

@@ -144,27 +144,14 @@ pub trait Rule: Send + Sync {
     /// **subject-local**: for every input predicate `p` in the returned
     /// list, both [`Rule::apply`] and [`Rule::derives`] only ever access
     /// `p`'s partition at the *subject of the triple being derived or
-    /// checked* (patterns of the shape `(s, p, ?)` with `s` the
-    /// conclusion's subject), and every conclusion whose derivation
-    /// touched `p` carries that same subject.
+    /// checked*, and every conclusion whose derivation touched `p` carries
+    /// that same subject.
     ///
-    /// This is the soundness gate for **intra-partition subject
-    /// sub-splitting** (the maintenance planner's second level): if a
-    /// deletion's affected predicate closure only meets this rule through
-    /// subject-local inputs, then the downward closure of a set of
-    /// retractions decomposes by subject — two seeds with different
-    /// subjects can never overdelete or rederive each other's
-    /// consequences through this rule — and the planner may carve the
-    /// affected predicates into disjoint subject-range buckets and
-    /// maintain them in parallel.
-    ///
-    /// The default (empty) is the conservative answer: no input is
-    /// declared subject-local and any deletion touching this rule's
-    /// inputs disables sub-splitting for its partition. Declaring a
-    /// predicate here that the rule in fact reads at foreign subjects
-    /// (e.g. a transitive join walking `(?, p, s)`) would let the planner
-    /// tear one closure across buckets — only declare inputs whose
-    /// accesses provably stay on the conclusion's subject.
+    /// A descriptive declaration only: the engine does not read it, and
+    /// no built-in rule overrides the empty default. Retraction
+    /// maintenance is planned per rule family (see
+    /// [`DependencyGraph::component_of`](crate::DependencyGraph::component_of)),
+    /// never per subject.
     fn subject_local_inputs(&self) -> Vec<NodeId> {
         Vec::new()
     }

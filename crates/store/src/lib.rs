@@ -59,5 +59,5 @@ pub use concurrent::{
 };
 pub use pattern::TriplePattern;
 pub use table::PropertyTable;
-pub use vertical::{subject_bucket, StoreStats, VerticalStore};
-pub use view::{Overlay, ShardRead, StoreView};
+pub use vertical::{StoreStats, VerticalStore};
+pub use view::{ShardRead, StoreView};

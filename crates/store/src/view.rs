@@ -179,53 +179,6 @@ impl<'a> From<&'a VerticalStore> for StoreView<'a> {
     }
 }
 
-/// A two-layer [`ShardRead`]: a **primary** store carved out for mutation
-/// (e.g. one subject sub-bucket of a maintenance partition) overlaid on a
-/// read-only **context** store (the rest of the partition's triples).
-///
-/// Predicate-bound reads route to the primary when it owns a partition
-/// for that predicate, falling back to the context otherwise; full walks
-/// traverse both. The two layers must hold **disjoint predicate sets**
-/// (the carve guarantees it: the affected predicates move to the primary,
-/// the remainder stays behind as context) — a predicate present in both
-/// would shadow the context's half.
-///
-/// This is what lets an intra-partition DRed worker mutate its own
-/// subject bucket while joining against the *whole* partition: the
-/// sub-split plan only qualifies rules whose touched inputs are
-/// subject-local, so cross-bucket reads can only hit context predicates —
-/// which no worker mutates.
-pub struct Overlay<'a> {
-    primary: &'a VerticalStore,
-    context: &'a VerticalStore,
-}
-
-impl<'a> Overlay<'a> {
-    /// Overlays `primary` (the mutable carve, borrowed for this read) on
-    /// `context` (the read-only remainder).
-    pub fn new(primary: &'a VerticalStore, context: &'a VerticalStore) -> Self {
-        Overlay { primary, context }
-    }
-
-    /// A [`StoreView`] over this overlay.
-    pub fn view(&'a self) -> StoreView<'a> {
-        StoreView::Snapshot(self)
-    }
-}
-
-impl ShardRead for Overlay<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        if self.primary.table(p).is_some() {
-            self.primary
-        } else {
-            self.context
-        }
-    }
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        Box::new([self.primary, self.context].into_iter())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,45 +272,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// An overlay view must answer exactly like the union store, for
-    /// every accessor, as long as the layers' predicate sets are disjoint.
-    #[test]
-    fn overlay_view_agrees_with_the_union_store() {
-        let mut primary = VerticalStore::new();
-        primary.insert_explicit(t(1, 10, 2));
-        primary.insert(t(4, 10, 2));
-        let mut context = VerticalStore::new();
-        context.insert(t(1, 20, 2));
-        context.insert_explicit(t(5, 30, 6));
-        let union: VerticalStore = primary.iter().chain(context.iter()).collect();
-
-        let overlay = Overlay::new(&primary, &context);
-        let view = overlay.view();
-        assert_eq!(view.len(), union.len());
-        assert_eq!(view.to_sorted_vec(), union.to_sorted_vec());
-        for p in [10, 20, 30, 99] {
-            let p = NodeId(p);
-            assert_eq!(view.count_with_p(p), union.count_with_p(p));
-            let mut got: Vec<_> = view.pairs(p).collect();
-            let mut want: Vec<_> = union.pairs(p).collect();
-            got.sort();
-            want.sort();
-            assert_eq!(got, want, "predicate {p:?}");
-        }
-        assert!(view.contains(t(1, 20, 2)));
-        assert!(view.is_explicit(t(1, 10, 2)));
-        assert!(view.is_explicit(t(5, 30, 6)));
-        assert!(!view.is_explicit(t(4, 10, 2)));
-        assert!(!view.contains(t(9, 9, 9)));
-        let mut preds: Vec<_> = view.predicates().collect();
-        preds.sort();
-        assert_eq!(preds, vec![NodeId(10), NodeId(20), NodeId(30)]);
-        assert_eq!(
-            view.matches(TriplePattern::with_p(NodeId(20))),
-            vec![t(1, 20, 2)]
-        );
     }
 
     #[test]

@@ -912,65 +912,77 @@ fn a_budgeted_flush_defers_and_does_not_stall_the_cotenant() {
     assert_eq!(churn.store().len(), 500);
 }
 
-/// Parallel deletion path, acceptance pin: two eager removals on
-/// disjoint subject ranges **overlap in wall-clock time** (their
-/// maintenance units run on different threads at once) and land
-/// field-for-field where a serial run does.
+/// Parallel deletion path, acceptance pin: two eager removals in
+/// different rule families **overlap in wall-clock time** (their DRed
+/// passes run on different threads at once) and land field-for-field
+/// where a serial run does.
 ///
 /// Shape of the race: a third, slow removal occupies the maintenance
 /// mutex first; the two racing callers enqueue behind it, and whichever
 /// acquires the mutex next becomes the combining leader — it drains both
-/// batches, sub-splits them by subject bucket and runs the two units
-/// concurrently (coordinator inline, the other on the worker pool).
+/// batches, buckets them by maintenance partition and runs the two
+/// family passes concurrently (coordinator inline, the other on the
+/// worker pool).
 #[test]
-fn disjoint_subject_eager_removals_overlap_and_match_serial() {
+fn cross_family_eager_removals_overlap_and_match_serial() {
     use slider::rules::{InputFilter, OutputSignature, Rule, Subsumption, Transitive};
-    use slider::store::{subject_bucket, StoreView};
+    use slider::store::StoreView;
     use std::sync::atomic::AtomicUsize;
     use std::sync::Mutex;
     use std::time::Instant;
 
-    const TRANS: NodeId = NodeId(98_000);
-    const IS: NodeId = NodeId(98_001);
-    const MARK: NodeId = NodeId(98_002);
+    /// One family's vocabulary: chain, membership and mark predicates.
+    #[derive(Clone, Copy)]
+    struct Family {
+        trans: NodeId,
+        is: NodeId,
+        mark: NodeId,
+    }
+    const A: Family = Family {
+        trans: NodeId(98_000),
+        is: NodeId(98_001),
+        mark: NodeId(98_002),
+    };
+    const B: Family = Family {
+        trans: NodeId(98_010),
+        is: NodeId(98_011),
+        mark: NodeId(98_012),
+    };
 
     /// `(x IS c) ⊢ (x MARK c)`, slowly: every application sleeps and
     /// logs its wall-clock interval, so the test can prove two
-    /// maintenance units ran at the same time. `IS` is subject-local
-    /// (the conclusion stays on the delta's subject), so the rule keeps
-    /// the family sub-splittable.
+    /// maintenance passes ran at the same time.
     struct SlowMark {
+        name: &'static str,
+        family: Family,
         delay: Duration,
         entered: Arc<AtomicUsize>,
         log: Arc<Mutex<Vec<(Instant, Instant)>>>,
     }
     impl Rule for SlowMark {
         fn name(&self) -> &'static str {
-            "SLOW-MARK"
+            self.name
         }
         fn definition(&self) -> &'static str {
             "(x IS c) ⊢ (x MARK c), slowly"
         }
         fn input_filter(&self) -> InputFilter {
-            InputFilter::Predicates(vec![IS])
+            InputFilter::Predicates(vec![self.family.is])
         }
         fn output_signature(&self) -> OutputSignature {
-            OutputSignature::Predicates(vec![MARK])
+            OutputSignature::Predicates(vec![self.family.mark])
         }
         fn apply(&self, _store: &StoreView, delta: &[Triple], out: &mut Vec<Triple>) {
             self.entered.fetch_add(1, Ordering::SeqCst);
             let start = Instant::now();
             std::thread::sleep(self.delay);
-            for t in delta.iter().filter(|t| t.p == IS) {
-                out.push(Triple::new(t.s, MARK, t.o));
+            for t in delta.iter().filter(|t| t.p == self.family.is) {
+                out.push(Triple::new(t.s, self.family.mark, t.o));
             }
             self.log.lock().unwrap().push((start, Instant::now()));
         }
         fn derives(&self, store: &StoreView, t: Triple) -> Option<bool> {
-            Some(t.p == MARK && store.contains(Triple::new(t.s, IS, t.o)))
-        }
-        fn subject_local_inputs(&self) -> Vec<NodeId> {
-            vec![IS]
+            Some(t.p == self.family.mark && store.contains(Triple::new(t.s, self.family.is, t.o)))
         }
     }
 
@@ -978,52 +990,51 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
     let log: Arc<Mutex<Vec<(Instant, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
     let ruleset =
         |delay: Duration, entered: &Arc<AtomicUsize>, log: &Arc<Mutex<Vec<(Instant, Instant)>>>| {
-            Ruleset::custom("slow-family")
-                .with(Transitive::new("T", TRANS))
-                .with(Subsumption::new("S", IS, TRANS))
-                .with(SlowMark {
-                    delay,
-                    entered: Arc::clone(entered),
-                    log: Arc::clone(log),
-                })
+            let slow = |name: &'static str, family: Family| SlowMark {
+                name,
+                family,
+                delay,
+                entered: Arc::clone(entered),
+                log: Arc::clone(log),
+            };
+            Ruleset::custom("two-slow-families")
+                .with(Transitive::new("T-A", A.trans))
+                .with(Subsumption::new("S-A", A.is, A.trans))
+                .with(slow("SLOW-MARK-A", A))
+                .with(Transitive::new("T-B", B.trans))
+                .with(Subsumption::new("S-B", B.is, B.trans))
+                .with(slow("SLOW-MARK-B", B))
         };
 
-    // Members whose subject-hash buckets differ at sub-split width 2 —
-    // the racing removals are guaranteed to land in different units.
-    let member = |want: usize| -> NodeId {
-        (0u64..100)
-            .map(|v| NodeId(98_400 + v))
-            .find(|&s| subject_bucket(s, 2) == want)
-            .expect("a subject hashing into the bucket")
-    };
-    let m0 = member(0);
-    let m1 = member(1);
-    let m2 = NodeId(98_550);
+    // The blocker and the first racer retract in family A, the second
+    // racer in family B: the combined run spans two partitions.
     let cls = |i: u64| NodeId(98_200 + i);
-    let rm = |m: NodeId| Triple::new(m, IS, cls(1));
-    let mut input: Vec<Triple> = (1..4)
-        .map(|i| Triple::new(cls(i), TRANS, cls(i + 1)))
-        .collect();
-    input.extend([m0, m1, m2].map(|m| Triple::new(m, IS, cls(1))));
+    let (m0, m1, m2) = (NodeId(98_400), NodeId(98_401), NodeId(98_402));
+    let rm0 = Triple::new(m0, A.is, cls(1));
+    let rm1 = Triple::new(m1, B.is, cls(1));
+    let rm2 = Triple::new(m2, A.is, cls(1));
+    let mut input: Vec<Triple> = Vec::new();
+    for family in [A, B] {
+        input.extend((1..4).map(|i| Triple::new(cls(i), family.trans, cls(i + 1))));
+    }
+    input.extend([rm0, rm1, rm2]);
 
     let par = Arc::new(Slider::new(
         Arc::new(Dictionary::new()),
         ruleset(Duration::from_millis(200), &entered, &log),
-        SliderConfig::default()
-            .with_workers(2)
-            .with_deletion_subsplit(2),
+        SliderConfig::default().with_workers(2),
     ));
     par.materialize(&input);
 
     // From here on, only maintenance passes append to the log; the
     // blocker's applications are serial (it holds the maintenance mutex
-    // alone), so any overlapping pair proves two *units* ran at once.
+    // alone), so any overlapping pair proves two *passes* ran at once.
     let start_idx = log.lock().unwrap().len();
     let entered_before = entered.load(Ordering::SeqCst);
     let (o0, o1) = std::thread::scope(|scope| {
         let blocker = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m2)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm2]))
         };
         // Wait until the blocker's DRed is inside the slow rule — the
         // maintenance mutex is then certainly held, so both racing
@@ -1038,11 +1049,11 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         }
         let w0 = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m0)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm0]))
         };
         let w1 = {
             let par = Arc::clone(&par);
-            scope.spawn(move || par.remove_triples_outcome(&[rm(m1)]))
+            scope.spawn(move || par.remove_triples_outcome(&[rm1]))
         };
         blocker.join().unwrap();
         (w0.join().unwrap(), w1.join().unwrap())
@@ -1059,9 +1070,9 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         SliderConfig::default().with_workers(2),
     );
     serial.materialize(&input);
-    serial.remove_triples(&[rm(m2)]);
-    let s0 = serial.remove_triples_outcome(&[rm(m0)]);
-    let s1 = serial.remove_triples_outcome(&[rm(m1)]);
+    serial.remove_triples(&[rm2]);
+    let s0 = serial.remove_triples_outcome(&[rm0]);
+    let s1 = serial.remove_triples_outcome(&[rm1]);
     assert_eq!(o0, s0, "parallel eager outcome diverged from serial");
     assert_eq!(o1, s1, "parallel eager outcome diverged from serial");
     assert_eq!(
@@ -1079,12 +1090,11 @@ fn disjoint_subject_eager_removals_overlap_and_match_serial() {
         .any(|(i, a)| intervals[i + 1..].iter().any(|b| a.0 < b.1 && b.0 < a.1));
     assert!(
         overlapped,
-        "no two maintenance units overlapped in time ({} intervals)",
+        "no two maintenance passes overlapped in time ({} intervals)",
         intervals.len()
     );
     let stats = par.stats();
     assert!(stats.parallel_eager_runs >= 1, "{stats}");
-    assert!(stats.subpartitioned_runs >= 1, "{stats}");
     assert_eq!(stats.retracted, 3);
 }
 
