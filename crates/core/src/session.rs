@@ -28,10 +28,10 @@ use std::time::{Duration, Instant};
 pub(crate) struct Module {
     pub(crate) rule: Arc<dyn Rule>,
     filter: InputFilter,
-    /// The rule's declared static read set ([`Rule::read_predicates`]),
-    /// pre-planned against the store's shard layout: `Some` lets a join
-    /// pin only those predicates' shards, `None` means a full snapshot.
-    read_plan: Option<slider_store::ReadSet>,
+    /// The rule's declared static read set ([`Rule::read_predicates`]):
+    /// `Some` scopes each join's epoch reader to those predicates (any
+    /// other predicate panics), `None` reads the whole epoch.
+    read_set: Option<Vec<NodeId>>,
     buffer: Buffer,
     /// Rules whose buffers receive this module's fresh conclusions —
     /// `successors` in the dependency graph.
@@ -66,14 +66,12 @@ pub(crate) struct RulesetState {
 }
 
 /// Builds the ruleset-derived state: dependency graph, modules with
-/// read plans pre-planned against `store`'s shard layout, and the
-/// backward-matcher probe results. For rules also present in `carried`
-/// (matched by name + definition), the counters and the adaptive
-/// fire-threshold plan carry over — a hot-swap keeps a kept rule's
-/// history and tuning.
+/// their declared read sets, and the backward-matcher probe results. For
+/// rules also present in `carried` (matched by name + definition), the
+/// counters and the adaptive fire-threshold plan carry over — a hot-swap
+/// keeps a kept rule's history and tuning.
 fn build_state(
     ruleset: &Ruleset,
-    store: &ShardedStore,
     base_capacity: usize,
     carried: Option<&RulesetState>,
 ) -> RulesetState {
@@ -91,7 +89,7 @@ fn build_state(
             Module {
                 rule: Arc::clone(rule),
                 filter: rule.input_filter(),
-                read_plan: rule.read_predicates().map(|preds| store.plan_read(&preds)),
+                read_set: rule.read_predicates(),
                 buffer: Buffer::new(base_capacity),
                 successors: graph.successors(i).to_vec(),
                 counters: kept.map(|m| m.counters.carry()).unwrap_or_default(),
@@ -352,7 +350,7 @@ impl Engine {
             // it requires the gate in write mode, which implies
             // quiescence — no instance like this one in flight.
             let epoch = self.store.snapshot();
-            let reader = epoch.reader(module.read_plan.as_ref());
+            let reader = epoch.reader(module.read_set.as_deref());
             module.rule.apply(&reader.view(), &delta, &mut out);
         }
         bump(&module.counters.fired, 1);
@@ -1047,7 +1045,7 @@ impl Engine {
             .collect();
         let kept = surviving.len();
         // Even an identical-ruleset swap goes through the quiescent
-        // section: the fresh state (rebuilt read plans, graph, partitions)
+        // section: the fresh state (rebuilt read sets, graph, partitions)
         // must install at a point where no in-flight instance holds the
         // old one — only the store-delta work is skipped.
         let ((overdeleted, rederived, inferred), store_size) = self.with_quiescent_store(|store| {
@@ -1068,12 +1066,8 @@ impl Engine {
             // Operations blocked on the gate resume against the new
             // program; operations that completed earlier ran entirely
             // under the old one. Nothing observes a mix.
-            *self.rstate.write() = Arc::new(build_state(
-                &ruleset,
-                &self.store,
-                self.base_capacity,
-                Some(&old_state),
-            ));
+            *self.rstate.write() =
+                Arc::new(build_state(&ruleset, self.base_capacity, Some(&old_state)));
             (overdeleted, rederived, inferred)
         });
         bump(&self.globals.ruleset_swaps, 1);
@@ -1181,8 +1175,6 @@ impl Slider {
         config: SliderConfig,
     ) -> Self {
         let base_capacity = config.buffer_capacity.max(1);
-        // The store comes first: each module's declared read set is
-        // planned against its shard layout once, not per rule instance.
         let store = ShardedStore::from_store_sharded(
             if config.object_index {
                 VerticalStore::new()
@@ -1191,7 +1183,7 @@ impl Slider {
             },
             config.store_shards,
         );
-        let state = build_state(&ruleset, &store, base_capacity, None);
+        let state = build_state(&ruleset, base_capacity, None);
         let id = core.allocate_id();
         let engine = Arc::new_cyclic(|self_ref| Engine {
             dict,
@@ -1547,7 +1539,7 @@ impl Slider {
     /// Afterwards the store equals the closure of its explicit triples
     /// under the new program, exactly as if the reasoner had been built
     /// with it from the start. The dependency graph, maintenance
-    /// partitions and per-rule read plans are rebuilt and installed
+    /// partitions and per-rule read sets are rebuilt and installed
     /// **atomically at the swap's linearisation point**: a quiescent
     /// instant (no rule instance in flight, all buffers empty) with the
     /// store held exclusively. Concurrent `add_triples`/queries are safe

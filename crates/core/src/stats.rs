@@ -172,20 +172,20 @@ pub struct StatsSnapshot {
     pub oldest_pending_age: Option<std::time::Duration>,
     /// Times the store's maintenance gate was taken in write mode — every
     /// DRed run / quiescent-store section is one acquisition. Normal
-    /// reads and writes only ever hold the gate in read mode (see
+    /// writes only ever hold the gate in read mode, and reads take no
+    /// lock at all (see
     /// [`ShardedStore`](slider_store::ShardedStore)).
     pub gate_write_acquisitions: u64,
     /// Times a shard write lock was contended: a distributor or input
-    /// write found its predicate shard held by another writer or a
-    /// snapshot. High values relative to write volume mean hot predicate
+    /// write found its predicate shard held by another writer. High
+    /// values relative to write volume mean hot predicate
     /// families are colliding — more shards or predicate renumbering would
     /// help; zero under multi-worker load means the sharding is doing its
     /// job.
     pub shard_write_conflicts: u64,
     /// Generation of the published epoch snapshot at snapshot time. Bumps
     /// once per touched shard per store write call (input batch,
-    /// distributor batch, removal) and once per exclusive-section
-    /// publication; a reader holding an
+    /// distributor batch) and once per exclusive-section publication; a reader holding an
     /// [`EpochSnapshot`](slider_store::EpochSnapshot) with a lower
     /// generation sees an older — but internally consistent — cut of the
     /// store.

@@ -89,7 +89,7 @@ pub enum EventKind {
     /// A live ruleset replacement completed (`swap_ruleset`): the program
     /// was diffed against the running one, derivations supported only by
     /// dropped rules were retracted (DRed), added rules were evaluated
-    /// semi-naively, and the dependency graph / read plans were rebuilt at
+    /// semi-naively, and the dependency graph / read sets were rebuilt at
     /// the swap's linearisation point.
     RulesetSwap {
         /// Rules removed by the swap.

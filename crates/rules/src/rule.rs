@@ -125,15 +125,17 @@ pub trait Rule: Send + Sync {
     /// `None` (the default) means the read set is unbounded — the rule
     /// may look up data-dependent predicates (e.g. `PRP-SPO1` walks the
     /// partition of whatever property the delta mentions) — and the
-    /// reasoner hands such rules a full store snapshot. `Some(preds)`
-    /// lets the sharded store pin only `preds`' shards, in a fixed order,
-    /// so the join never blocks writers on unrelated predicate families;
-    /// `Some(vec![])` declares a delta-only rule that reads no store
-    /// partition at all.
+    /// reasoner's join reads the whole published epoch. `Some(preds)`
+    /// declares that the join touches only `preds`; `Some(vec![])`
+    /// declares a delta-only rule that reads no store partition at all.
+    /// Nothing is locked or pinned either way: every join reads the
+    /// lock-free epoch.
     ///
-    /// The declaration is a *contract*: `apply` touching a predicate
-    /// outside a `Some` read set panics loudly inside the engine (the
-    /// closure test suite exercises every built-in rule's declaration).
+    /// The declaration is a *checked contract*: the engine hands the join
+    /// an epoch reader scoped to `preds`, and `apply` touching a
+    /// predicate outside a `Some` read set — or walking the whole store —
+    /// panics loudly, in release builds too (the closure test suite
+    /// exercises every built-in rule's declaration).
     /// [`Rule::derives`] is exempt — maintenance always runs it against
     /// a whole-store view.
     fn read_predicates(&self) -> Option<Vec<NodeId>> {

@@ -1,59 +1,56 @@
-//! The shared, two-level-locked store used by the concurrent reasoner.
+//! The shared store used by the concurrent reasoner: sharded, locked
+//! writers and lock-free epoch readers.
 //!
 //! The paper's concurrency story (§2.2) is a single
 //! `ReentrantReadWriteLock` over the whole triple store. This module keeps
 //! the paper's *semantics* but drops the single lock: the store is already
 //! vertically partitioned into self-contained per-predicate
 //! [`PropertyTable`](crate::PropertyTable)s, so [`ShardedStore`] guards
-//! them with **two levels of locking**:
+//! its writers with **two levels of locking**:
 //!
-//! 1. a global **maintenance gate** (`RwLock<()>`): every *monotone*
-//!    operation (insert, query, snapshot) holds it in *read* mode; the
-//!    exclusive paths — [`ShardedStore::exclusive`] (DRed maintenance
-//!    runs and quiescent-store sections) and the deleting
-//!    [`ShardedStore::remove`]/[`ShardedStore::remove_batch`] — take it
-//!    in *write* mode, getting the store to themselves exactly as the old
-//!    global write lock did. While any snapshot is live the store can
-//!    only grow, which is what makes per-shard (rather than one-big-lock)
-//!    reads sound;
+//! 1. a global **maintenance gate** (`RwLock<()>`): every write call
+//!    ([`ShardedStore::insert_batch`] and friends,
+//!    [`ShardedStore::write_shard`]) holds it in *read* mode;
+//!    [`ShardedStore::exclusive`] — DRed maintenance runs and
+//!    quiescent-store sections, the engine's only deletion path — takes it
+//!    in *write* mode, getting the store to itself exactly as the old
+//!    global write lock did;
 //! 2. a fixed power-of-two array of **shard locks**
 //!    (`RwLock<VerticalStore>`), each shard owning the property tables of
 //!    the predicates that hash to it. Writers touching disjoint predicate
 //!    families lock disjoint shards and run concurrently instead of
-//!    serialising on one writer, and a read snapshot scoped to a declared
-//!    read set ([`ShardedStore::read_for`]) only blocks writers on the
-//!    shards it pins.
+//!    serialising on one writer.
+//!
+//! Readers take neither level: they answer from the published epoch
+//! (below).
 //!
 //! ## Lock-order discipline
 //!
 //! * The gate is always acquired **before** any shard lock, never while a
 //!   shard lock is held.
-//! * Multi-shard *read* acquisition ([`ShardedStore::read`] /
-//!   [`ShardedStore::read_for`]) pins its shards eagerly at construction,
-//!   in ascending index order; no shard lock is ever acquired while a
-//!   snapshot's guards are held.
-//! * No thread ever holds more than one shard **write** lock at a time —
-//!   the batched write paths visit each touched shard once, in ascending
-//!   index order, and release shard *i* before acquiring shard *j*
-//!   (a batch is therefore atomic with respect to maintenance, which
+//! * No thread ever holds more than one shard write lock at a time — the
+//!   batched write path visits each touched shard once, in ascending
+//!   index order, and releases shard *i* before acquiring shard *j* (a
+//!   batch is therefore atomic with respect to maintenance, which
 //!   excludes it wholly via the gate, but not with respect to readers of
 //!   other shards — exactly the per-shard granularity the fresh-subset
 //!   contract needs, since that contract is per triple).
+//! * The publication mutex is innermost: it is held only for a pointer
+//!   clone or swap, never while acquiring another lock.
 //!
-//! Writers never wait while holding a shard lock and readers acquire in a
-//! fixed order at a single point in time, so no cycle — and therefore no
-//! deadlock — is possible.
+//! Writers never wait while holding a shard lock, so no cycle — and
+//! therefore no deadlock — is possible.
 //!
-//! ## Epoch snapshots — the lock-free read path
+//! ## Epoch snapshots — the read path
 //!
-//! On top of the two lock levels the store keeps one **published epoch**:
-//! an immutable, generation-stamped [`EpochSnapshot`] holding an
-//! `Arc<VerticalStore>` per shard. A write call publishes **once per
-//! shard it touches**: it applies the shard's whole share of the batch
-//! under the shard's write lock and publishes a fresh epoch before
-//! releasing that lock, so publications of a shard serialise and each
-//! epoch is a prefix-consistent cut of the store's history (a call's
-//! share of a shard appears in it whole, never torn). The clone taken at
+//! The store keeps one **published epoch**: an immutable,
+//! generation-stamped [`EpochSnapshot`] holding an `Arc<VerticalStore>`
+//! per shard. A write call publishes **once per shard it touches**: it
+//! applies the shard's whole share of the batch under the shard's write
+//! lock and publishes a fresh epoch before releasing that lock, so
+//! publications of a shard serialise and each epoch is a
+//! prefix-consistent cut of the store's history (a call's share of a
+//! shard appears in it whole, never torn). The clone taken at
 //! publication is copy-on-write ([`VerticalStore`]'s tables are
 //! `Arc`-shared), so the publication itself costs one `Arc` bump per
 //! table of the shard. The copy comes later: the first mutation of a
@@ -65,30 +62,41 @@
 //! Readers ([`ShardedStore::snapshot`], and through it
 //! [`ShardedStore::matches`] / [`ShardedStore::stats`] /
 //! [`ShardedStore::to_sorted_vec`] / [`ShardedStore::contains`]) clone
-//! the published `Arc` and answer from the immutable epoch: **zero gate
-//! or shard locks**, so reads never block writers, shard guards, DRed
+//! the published `Arc` and answer from the immutable epoch through
+//! [`EpochSnapshot::view`] or a scoped [`EpochReader`]: **zero gate or
+//! shard locks**, so reads never block writers, shard guards, DRed
 //! flushes, or [`ShardedStore::exclusive`] sections — and never observe
 //! their intermediate states. Deletions happen only under the gate's
-//! write mode (the single remaining exclusion point) and become visible
-//! atomically when the new epoch is published; an epoch acquired before
-//! a maintenance run keeps answering from the pre-maintenance state
-//! (generation monotonicity).
+//! write mode and become visible atomically when the new epoch is
+//! published; an epoch acquired before a maintenance run keeps answering
+//! from the pre-maintenance state (generation monotonicity).
 
 use crate::pattern::TriplePattern;
 use crate::vertical::{StoreStats, VerticalStore};
-use crate::view::{ShardRead, StoreView};
+use crate::view::StoreView;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use slider_model::{NodeId, Triple};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default number of shards — enough to make collisions between a handful
-/// of hot predicate families unlikely, small enough that a full snapshot
-/// (one read lock per shard) stays cheap.
+/// of hot predicate families unlikely, small enough that the per-shard
+/// costs (one `Arc` per shard in every published epoch, one lock per shard
+/// in an exclusive section's gather) stay cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
-/// A [`VerticalStore`] split into per-predicate shards behind two-level
-/// locking — see the module docs for the design and the lock-order rules.
+/// The shard index predicate `p` hashes to among `count` shards (a power
+/// of two) — shared by the live store and its epochs.
+#[inline]
+fn shard_index(p: NodeId, count: usize) -> usize {
+    // Fibonacci multiply-shift; the high bits mix well for the dense
+    // dictionary ids NodeId uses.
+    ((p.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (count - 1)
+}
+
+/// A [`VerticalStore`] split into per-predicate shards: writers lock at two
+/// levels, readers answer lock-free from the published epoch — see the
+/// module docs for the design and the lock-order rules.
 ///
 /// Writes return the subset of triples that were actually new, which is
 /// what gets dispatched onward — the duplicate-limitation mechanism. The
@@ -191,9 +199,7 @@ impl ShardedStore {
     /// The shard index predicate `p` hashes to.
     #[inline]
     pub fn shard_of(&self, p: NodeId) -> usize {
-        // Fibonacci multiply-shift; the high bits mix well for the dense
-        // dictionary ids NodeId uses.
-        ((p.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.shards.len() - 1)
+        shard_index(p, self.shards.len())
     }
 
     /// Number of shards (a power of two).
@@ -291,7 +297,8 @@ impl ShardedStore {
     }
 
     /// Generation stamp of the most recently published epoch (monotone).
-    /// Rises by one per touched shard per write call, and by one per
+    /// Rises by one per touched shard per write call (if the call changed
+    /// that shard), by one per dropped [`ShardWriteGuard`], and by one per
     /// exclusive section.
     pub fn snapshot_generation(&self) -> u64 {
         self.generation.load(Ordering::Relaxed)
@@ -323,19 +330,10 @@ impl ShardedStore {
     /// that shard's whole share of the batch — at most one shard lock at
     /// a time, one epoch publication per touched shard.
     pub fn insert_batch(&self, triples: &[Triple], fresh: &mut Vec<Triple>) -> usize {
-        if triples.is_empty() {
-            return 0;
-        }
-        let _gate = self.gate.read();
-        self.write_batch(
-            triples,
-            fresh,
-            |shard, t| {
-                let new = shard.insert(t);
-                (new, new)
-            },
-            1,
-        )
+        self.write_batch(triples, fresh, |shard, t| {
+            let new = shard.insert(t);
+            (new, new)
+        })
     }
 
     /// Inserts a batch as **explicit** (asserted) facts; appends the *new*
@@ -344,114 +342,75 @@ impl ShardedStore {
     /// [`ShardedStore::insert_batch`], so the explicit flag separates
     /// assertions from conclusions for truth maintenance.
     pub fn insert_batch_explicit(&self, triples: &[Triple], fresh: &mut Vec<Triple>) -> usize {
-        if triples.is_empty() {
-            return 0;
-        }
-        let _gate = self.gate.read();
-        self.write_batch(
-            triples,
-            fresh,
-            |shard, t| {
-                // Re-asserting a triple already present as *derived* is not
-                // fresh, but it does flip the explicit flag — a mutation the
-                // epoch must republish or `stats()`/`is_explicit` on the
-                // lock-free path would keep serving stale provenance.
-                let was_explicit = shard.is_explicit(t);
-                let new = shard.insert_explicit(t);
-                (new, new || !was_explicit)
-            },
-            1,
-        )
+        self.write_batch(triples, fresh, |shard, t| {
+            // Re-asserting a triple already present as *derived* is not
+            // fresh, but it does flip the explicit flag — a mutation the
+            // epoch must republish or `stats()`/`is_explicit` on the
+            // lock-free path would keep serving stale provenance.
+            let was_explicit = shard.is_explicit(t);
+            let new = shard.insert_explicit(t);
+            (new, new || !was_explicit)
+        })
     }
 
-    /// Removes a batch; appends the triples that were actually present to
-    /// `removed` and returns how many were present.
-    ///
-    /// Removal takes the **gate in write mode**: read snapshots assume
-    /// the store only grows while they are live (they pin shards in a
-    /// fixed order, not as one atomic cut), so deletion must exclude them
-    /// wholly — a remover racing a half-built snapshot could otherwise
-    /// expose a cross-shard state no serial order explains. Blocks until
-    /// every snapshot, write and shard guard has released; never called
-    /// from the engine's hot paths (DRed deletes on the merged store via
-    /// [`ShardedStore::exclusive`]).
-    pub fn remove_batch(&self, triples: &[Triple], removed: &mut Vec<Triple>) -> usize {
-        if triples.is_empty() {
-            return 0;
-        }
-        let _gate = self.gate.write();
-        self.gate_writes.fetch_add(1, Ordering::Relaxed);
-        self.write_batch(
-            triples,
-            removed,
-            |shard, t| {
-                let hit = shard.remove(t);
-                (hit, hit)
-            },
-            -1,
-        )
-    }
-
-    /// The shared write loop: applies `op` per triple. `op` returns
-    /// `(hit, mutated)` — `hit` collects the triple and adjusts the length
-    /// counter by `delta`, `mutated` marks the shard for epoch
-    /// republication (a provenance-only flip mutates without a hit). The
-    /// caller holds the gate (read mode for monotone inserts, write mode
-    /// for removal).
+    /// The shared insert loop: takes the gate in read mode and applies
+    /// `op` per triple. `op` returns `(new, mutated)` — `new` collects the
+    /// triple and grows the length counter, `mutated` marks the shard for
+    /// epoch republication (a provenance-only flip mutates without a new
+    /// triple).
     ///
     /// Each touched shard is visited once, in ascending index order: its
     /// write lock is taken, every triple of the batch hashing there is
     /// applied in input order, one epoch is published if anything
     /// changed, and the lock is released before the next shard's. So a
     /// call publishes at most once per touched shard and copies each
-    /// table it mutates at most once. Hits are appended in input order;
-    /// the extra memory is one bit per triple plus one per shard.
+    /// table it mutates at most once. New triples are appended in input
+    /// order; the extra memory is one bit per triple plus one per shard.
     fn write_batch(
         &self,
         triples: &[Triple],
-        hits: &mut Vec<Triple>,
+        fresh: &mut Vec<Triple>,
         op: impl Fn(&mut VerticalStore, Triple) -> (bool, bool),
-        delta: isize,
     ) -> usize {
+        if triples.is_empty() {
+            return 0;
+        }
+        let _gate = self.gate.read();
         let mut touched = vec![false; self.shards.len()];
         for t in triples {
             touched[self.shard_of(t.p)] = true;
         }
-        let mut hit = vec![0u64; triples.len().div_ceil(64)];
+        let mut new = vec![0u64; triples.len().div_ceil(64)];
         let mut count = 0;
         for idx in (0..touched.len()).filter(|&idx| touched[idx]) {
             let mut shard = self.lock_shard(idx);
-            let mut shard_hits = 0;
+            let mut shard_new = 0;
             let mut dirty = false;
             for (i, &t) in triples.iter().enumerate() {
                 if self.shard_of(t.p) != idx {
                     continue;
                 }
-                let (was_hit, mutated) = op(&mut shard, t);
-                if was_hit {
-                    hit[i / 64] |= 1 << (i % 64);
-                    shard_hits += 1;
+                let (is_new, mutated) = op(&mut shard, t);
+                if is_new {
+                    new[i / 64] |= 1 << (i % 64);
+                    shard_new += 1;
                 }
                 dirty |= mutated;
             }
-            if delta > 0 {
-                self.len.fetch_add(shard_hits, Ordering::Relaxed);
-            } else {
-                self.len.fetch_sub(shard_hits, Ordering::Relaxed);
-            }
+            self.len.fetch_add(shard_new, Ordering::Relaxed);
             if dirty {
                 self.publish_shard(idx, &mut shard);
             }
             // Released before the next shard is locked: never two shard
             // write locks at once (see the module docs).
             drop(shard);
-            count += shard_hits;
+            count += shard_new;
         }
-        hits.extend(
+        fresh.extend(
             triples
                 .iter()
                 .enumerate()
-                .filter(|&(i, _)| hit[i / 64] & (1 << (i % 64)) != 0)
+                .filter(|&(i, _)| new[i / 64] & (1 << (i % 64)) != 0)
                 .map(|(_, &t)| t),
         );
         count
@@ -473,102 +432,16 @@ impl ShardedStore {
         inserted
     }
 
-    /// Removes one triple; returns `true` if it was present. Takes the
-    /// gate in write mode, like [`ShardedStore::remove_batch`]; the
-    /// deletion becomes visible to lock-free readers atomically with the
-    /// epoch published before the gate releases.
-    pub fn remove(&self, t: Triple) -> bool {
-        let _gate = self.gate.write();
-        self.gate_writes.fetch_add(1, Ordering::Relaxed);
-        let idx = self.shard_of(t.p);
-        let mut guard = self.shards[idx].write();
-        let removed = guard.remove(t);
-        if removed {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            self.publish_shard(idx, &mut guard);
-        }
-        removed
-    }
-
     /// True if `t` is present — answered from the published epoch, no
     /// gate or shard lock.
     pub fn contains(&self, t: Triple) -> bool {
-        self.snapshot().contains(t)
+        self.snapshot().view().contains(t)
     }
 
     /// True if `t` is present and explicitly asserted — answered from
     /// the published epoch, no gate or shard lock.
     pub fn is_explicit(&self, t: Triple) -> bool {
-        self.snapshot().is_explicit(t)
-    }
-
-    /// Acquires a **full** multi-shard read snapshot: the gate in read
-    /// mode plus every shard's read lock, in ascending index order — the
-    /// consistent cross-shard cut `stats`, `to_sorted_vec`, `matches` and
-    /// external queries want. Equivalent to `read_for(None)`.
-    pub fn read(&self) -> StoreSnapshot<'_> {
-        self.read_for(None)
-    }
-
-    /// Precomputes the snapshot scope for a declared predicate read set:
-    /// the predicates plus the sorted, deduplicated indices of the shards
-    /// owning them. Callers that take many scoped snapshots (the engine
-    /// plans one per rule module at startup) reuse the plan instead of
-    /// re-hashing and re-sorting per snapshot. A plan is only valid for
-    /// the store that built it (shard indices depend on the shard count).
-    pub fn plan_read(&self, preds: &[NodeId]) -> ReadSet {
-        let mut shards: Vec<usize> = preds.iter().map(|&p| self.shard_of(p)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        ReadSet {
-            preds: preds.to_vec(),
-            shards,
-        }
-    }
-
-    /// Acquires a read snapshot scoped to a **declared read set**
-    /// ([`ShardedStore::plan_read`]): the gate in read mode, plus the
-    /// read locks of exactly the shards owning the set's predicates —
-    /// acquired eagerly, in ascending shard-index order, so the
-    /// fixed-order deadlock-freedom argument in the module docs covers
-    /// every snapshot. `None` pins all shards (= [`ShardedStore::read`]).
-    ///
-    /// One snapshot per rule application, not per lookup — the sharded
-    /// analogue of the paper's "read lock for the duration of one join
-    /// batch", except that a join with a declared read set
-    /// (`Rule::read_predicates` in `slider-rules`) only blocks writers on
-    /// the shards it actually reads; writers everywhere else keep
-    /// flowing, and an empty read set locks no shard at all.
-    ///
-    /// The scope is a **contract**: querying a predicate outside the
-    /// declared set panics — by exact membership, not merely by shard,
-    /// so a wrong declaration fails on the first test that exercises it
-    /// instead of depending on whether the stray predicate happens to
-    /// hash to a pinned shard. The full-walk accessors (`iter`, `len`,
-    /// `predicates`, unbound-predicate `matches`) panic on a partial
-    /// snapshot too.
-    pub fn read_for<'a>(&'a self, read_set: Option<&'a ReadSet>) -> StoreSnapshot<'a> {
-        let gate = self.gate.read();
-        let mut guards: Vec<Option<RwLockReadGuard<'_, VerticalStore>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        match read_set {
-            None => {
-                for (idx, slot) in guards.iter_mut().enumerate() {
-                    *slot = Some(self.shards[idx].read());
-                }
-            }
-            Some(set) => {
-                for &idx in &set.shards {
-                    guards[idx] = Some(self.shards[idx].read());
-                }
-            }
-        }
-        StoreSnapshot {
-            owner: self,
-            _gate: gate,
-            read_set,
-            shards: guards,
-        }
+        self.snapshot().view().is_explicit(t)
     }
 
     /// Acquires the **maintenance gate in write mode** and returns the
@@ -592,8 +465,9 @@ impl ShardedStore {
     /// Locks the single shard owning predicate `p` for writing (gate held
     /// in read mode), for callers that want to pin or batch mutations on
     /// one predicate family. Writes to *other* shards proceed concurrently
-    /// while this guard is held; [`ShardedStore::exclusive`] and full
-    /// snapshots block until it is released.
+    /// while this guard is held, and so do all reads (they answer from the
+    /// published epoch); writes to the same shard and
+    /// [`ShardedStore::exclusive`] block until it is released.
     pub fn write_shard(&self, p: NodeId) -> ShardWriteGuard<'_> {
         let gate = self.gate.read();
         let idx = self.shard_of(p);
@@ -618,15 +492,15 @@ impl ShardedStore {
         self.len() == 0
     }
 
-    /// Times the maintenance gate was acquired in write mode (DRed runs,
-    /// quiescent-store sections, and direct `remove`/`remove_batch`
-    /// calls).
+    /// Times the maintenance gate was acquired in write mode — one per
+    /// [`ShardedStore::exclusive`] section (DRed runs and quiescent-store
+    /// sections).
     pub fn gate_write_acquisitions(&self) -> u64 {
         self.gate_writes.load(Ordering::Relaxed)
     }
 
     /// Times a shard write lock was contended (another writer or a
-    /// snapshot held the shard when a write arrived).
+    /// [`ShardWriteGuard`] held the shard when a write arrived).
     pub fn shard_write_conflicts(&self) -> u64 {
         self.shard_conflicts.load(Ordering::Relaxed)
     }
@@ -640,13 +514,13 @@ impl ShardedStore {
     /// Sorted snapshot of all triples (deterministic; for tests/reports).
     /// Answered from the published epoch — no gate or shard lock.
     pub fn to_sorted_vec(&self) -> Vec<Triple> {
-        self.snapshot().to_sorted_vec()
+        self.snapshot().view().to_sorted_vec()
     }
 
     /// All triples matching `pattern`, answered from the published epoch
     /// — one consistent cut, no gate or shard lock.
     pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
-        self.snapshot().matches(pattern)
+        self.snapshot().view().matches(pattern)
     }
 
     /// Consumes the wrapper, merging the shards back into one store.
@@ -656,155 +530,6 @@ impl ShardedStore {
             merged.absorb(shard.into_inner());
         }
         merged
-    }
-}
-
-/// A read snapshot of a [`ShardedStore`]: the gate in read mode, plus the
-/// read locks of every shard ([`ShardedStore::read`]) or of a declared
-/// read set's shards only ([`ShardedStore::read_for`]) — all acquired at
-/// construction, in ascending shard-index order. Queries answer directly
-/// (the usual store API) or through [`StoreSnapshot::view`] for code
-/// written against [`StoreView`]; querying a predicate outside a partial
-/// snapshot's declared read set panics.
-pub struct StoreSnapshot<'a> {
-    owner: &'a ShardedStore,
-    _gate: RwLockReadGuard<'a, ()>,
-    /// The declared scope (`None` = full snapshot); queries are checked
-    /// against it by exact predicate membership.
-    read_set: Option<&'a ReadSet>,
-    /// The pinned shard read guards, indexed by shard (`None` = outside
-    /// the read set).
-    shards: Vec<Option<RwLockReadGuard<'a, VerticalStore>>>,
-}
-
-/// A precomputed snapshot scope — see [`ShardedStore::plan_read`].
-#[derive(Debug, Clone)]
-pub struct ReadSet {
-    /// The declared predicates (exact membership check per query).
-    preds: Vec<NodeId>,
-    /// Sorted, deduplicated indices of the shards owning `preds`.
-    shards: Vec<usize>,
-}
-
-impl<'a> StoreSnapshot<'a> {
-    /// The sub-store of shard `idx` (pinned by construction for every
-    /// in-scope query; see [`StoreSnapshot::store_for`]).
-    #[inline]
-    fn shard(&self, idx: usize) -> &VerticalStore {
-        self.shards[idx]
-            .as_deref()
-            .unwrap_or_else(|| panic!("shard {idx} is outside this snapshot's declared read set"))
-    }
-
-    /// The shard sub-store owning predicate `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside a partial snapshot's declared read set —
-    /// checked by **exact membership**, not by shard, so a
-    /// `Rule::read_predicates` declaration missing a predicate its join
-    /// touches fails deterministically (a shard-level check would let the
-    /// stray predicate slip through whenever it happens to hash to a
-    /// pinned shard).
-    #[inline]
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        if let Some(set) = self.read_set {
-            assert!(
-                set.preds.contains(&p),
-                "predicate {p:?} is outside this snapshot's declared read set"
-            );
-        }
-        self.shard(self.owner.shard_of(p))
-    }
-
-    /// A [`StoreView`] over this snapshot — what rule joins run against.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
-    }
-
-    /// True if `t` is present.
-    pub fn contains(&self, t: Triple) -> bool {
-        self.store_for(t.p).contains(t)
-    }
-
-    /// True if `t` is present and explicitly asserted.
-    pub fn is_explicit(&self, t: Triple) -> bool {
-        self.store_for(t.p).is_explicit(t)
-    }
-
-    /// Objects `o` such that `(s, p, o)` holds.
-    pub fn objects_with(&self, p: NodeId, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.store_for(p).objects_with(p, s)
-    }
-
-    /// Subjects `s` such that `(s, p, o)` holds.
-    pub fn subjects_with(&self, p: NodeId, o: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.store_for(p).subjects_with(p, o)
-    }
-
-    /// All `(s, o)` pairs for predicate `p`.
-    pub fn pairs(&self, p: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.store_for(p).pairs(p)
-    }
-
-    /// Number of triples with predicate `p`.
-    pub fn count_with_p(&self, p: NodeId) -> usize {
-        self.store_for(p).count_with_p(p)
-    }
-
-    /// Iterates over every triple in the snapshot (no ordering
-    /// guarantee; full snapshots only — panics on a partial one).
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.sub_stores().flat_map(VerticalStore::iter)
-    }
-
-    /// Total number of triples in the snapshot (full snapshots only —
-    /// panics on a partial one).
-    pub fn len(&self) -> usize {
-        self.sub_stores().map(VerticalStore::len).sum()
-    }
-
-    /// True if the snapshot holds no triples (full snapshots only —
-    /// panics on a partial one).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All triples matching `pattern`.
-    pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
-        self.view().matches(pattern)
-    }
-}
-
-impl ShardRead for StoreSnapshot<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        StoreSnapshot::store_for(self, p)
-    }
-
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        assert!(
-            self.read_set.is_none(),
-            "full-store walk on a partial snapshot — the rule's declared \
-             read set does not license iter()/len()/predicates()/unbound \
-             matches()"
-        );
-        Box::new(self.shards.iter().map(|guard| {
-            &**guard
-                .as_ref()
-                .expect("a non-partial snapshot pinned every shard")
-        }))
-    }
-}
-
-impl std::fmt::Debug for StoreSnapshot<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoreSnapshot")
-            .field("shards", &self.shards.len())
-            .field(
-                "pinned",
-                &self.shards.iter().filter(|g| g.is_some()).count(),
-            )
-            .finish()
     }
 }
 
@@ -913,6 +638,8 @@ impl std::fmt::Debug for ShardWriteGuard<'_> {
 /// prefix-consistent cut of the store's history. A snapshot acquired
 /// before a maintenance flush keeps answering from the pre-flush state
 /// even after the flush retracts triples (generation monotonicity).
+/// Queries go through [`EpochSnapshot::view`], or through a scoped
+/// [`EpochSnapshot::reader`] for a join with a declared read set.
 pub struct EpochSnapshot {
     /// Monotone publication stamp (see
     /// [`ShardedStore::snapshot_generation`]).
@@ -941,79 +668,23 @@ impl EpochSnapshot {
         self.len == 0
     }
 
-    /// The shard index predicate `p` hashes to (same function as the
-    /// owning [`ShardedStore`]; `shards.len()` is a power of two).
-    #[inline]
-    fn shard_of(&self, p: NodeId) -> usize {
-        ((p.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize) & (self.shards.len() - 1)
-    }
-
-    /// The sub-store owning predicate `p`.
-    #[inline]
-    fn shard_store(&self, p: NodeId) -> &VerticalStore {
-        &self.shards[self.shard_of(p)]
-    }
-
-    /// A [`StoreView`] over the whole epoch — what unscoped queries and
-    /// rule joins without a declared read set run against.
+    /// A [`StoreView`] over the whole epoch — what queries and rule joins
+    /// without a declared read set run against.
     pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
+        self.reader(None).view()
     }
 
-    /// A reader scoped to a declared read set — the lock-free analogue
-    /// of [`ShardedStore::read_for`]. The scope is the same contract:
-    /// querying a predicate outside the declared set panics by exact
-    /// membership. `None` scopes nothing (= the full [`EpochSnapshot::view`]).
-    pub fn reader<'a>(&'a self, read_set: Option<&'a ReadSet>) -> EpochReader<'a> {
+    /// A reader scoped to a declared read set (`Rule::read_predicates` in
+    /// `slider-rules`). The scope is a **contract**, checked by exact
+    /// membership in release builds too: querying a predicate outside
+    /// `read_set` panics, and so do the full-walk accessors (`iter`,
+    /// `len`, `predicates`, unbound-predicate `matches`). `None` scopes
+    /// nothing (= [`EpochSnapshot::view`]).
+    pub fn reader<'a>(&'a self, read_set: Option<&'a [NodeId]>) -> EpochReader<'a> {
         EpochReader {
             snapshot: self,
             read_set,
         }
-    }
-
-    /// True if `t` is present in this epoch.
-    pub fn contains(&self, t: Triple) -> bool {
-        self.shard_store(t.p).contains(t)
-    }
-
-    /// True if `t` is present and explicitly asserted in this epoch.
-    pub fn is_explicit(&self, t: Triple) -> bool {
-        self.shard_store(t.p).is_explicit(t)
-    }
-
-    /// Objects `o` such that `(s, p, o)` holds in this epoch.
-    pub fn objects_with(&self, p: NodeId, s: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.shard_store(p).objects_with(p, s)
-    }
-
-    /// Subjects `s` such that `(s, p, o)` holds in this epoch.
-    pub fn subjects_with(&self, p: NodeId, o: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.shard_store(p).subjects_with(p, o)
-    }
-
-    /// All `(s, o)` pairs for predicate `p` in this epoch.
-    pub fn pairs(&self, p: NodeId) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        self.shard_store(p).pairs(p)
-    }
-
-    /// Number of triples with predicate `p` in this epoch.
-    pub fn count_with_p(&self, p: NodeId) -> usize {
-        self.shard_store(p).count_with_p(p)
-    }
-
-    /// Iterates over every triple in the epoch (no ordering guarantee).
-    pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.shards.iter().flat_map(|s| s.iter())
-    }
-
-    /// All triples matching `pattern` in this epoch.
-    pub fn matches(&self, pattern: TriplePattern) -> Vec<Triple> {
-        self.view().matches(pattern)
-    }
-
-    /// Sorted vector of every triple in the epoch (deterministic).
-    pub fn to_sorted_vec(&self) -> Vec<Triple> {
-        self.view().to_sorted_vec()
     }
 
     /// Store statistics merged across the epoch's shards.
@@ -1031,16 +702,6 @@ impl EpochSnapshot {
     }
 }
 
-impl ShardRead for EpochSnapshot {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
-        self.shard_store(p)
-    }
-
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
-        Box::new(self.shards.iter().map(|s| &**s))
-    }
-}
-
 impl std::fmt::Debug for EpochSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EpochSnapshot")
@@ -1051,46 +712,55 @@ impl std::fmt::Debug for EpochSnapshot {
     }
 }
 
-/// An [`EpochSnapshot`] scoped to a declared read set
-/// ([`EpochSnapshot::reader`]) — the lock-free analogue of the pinned
-/// [`StoreSnapshot`] a rule join used to hold. Queries outside the
-/// declared predicates panic by exact membership, preserving the
-/// loud-failure contract of `Rule::read_predicates`; since the epoch is
-/// immutable, the scope costs nothing at construction (no shards to
-/// pin).
+/// An [`EpochSnapshot`] scoped to an optional declared read set
+/// ([`EpochSnapshot::reader`]). Queries outside the declared predicates
+/// panic by exact membership, preserving the loud-failure contract of
+/// `Rule::read_predicates`; since the epoch is immutable, the scope costs
+/// nothing at construction.
 #[derive(Debug, Clone, Copy)]
 pub struct EpochReader<'a> {
     snapshot: &'a EpochSnapshot,
-    read_set: Option<&'a ReadSet>,
+    read_set: Option<&'a [NodeId]>,
 }
 
-impl EpochReader<'_> {
-    /// A [`StoreView`] over this scoped reader — what rule joins with a
-    /// declared read set run against.
-    pub fn view(&self) -> StoreView<'_> {
-        StoreView::Snapshot(self)
+impl<'a> EpochReader<'a> {
+    /// A [`StoreView`] over this reader — what rule joins run against.
+    pub fn view(&self) -> StoreView<'a> {
+        StoreView::Epoch(*self)
     }
-}
 
-impl ShardRead for EpochReader<'_> {
-    fn store_for(&self, p: NodeId) -> &VerticalStore {
+    /// The shard sub-store owning predicate `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside the declared read set — checked by exact
+    /// membership, not by shard, so a `Rule::read_predicates` declaration
+    /// missing a predicate its join touches fails deterministically, no
+    /// matter which shard the stray predicate hashes to.
+    #[inline]
+    pub(crate) fn store_for(&self, p: NodeId) -> &'a VerticalStore {
         if let Some(set) = self.read_set {
             assert!(
-                set.preds.contains(&p),
+                set.contains(&p),
                 "predicate {p:?} is outside this snapshot's declared read set"
             );
         }
-        self.snapshot.shard_store(p)
+        &self.snapshot.shards[shard_index(p, self.snapshot.shards.len())]
     }
 
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_> {
+    /// Every shard sub-store, for the full-walk accessors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the reader is scoped to a read set.
+    pub(crate) fn shards(&self) -> &'a [Arc<VerticalStore>] {
         assert!(
             self.read_set.is_none(),
             "full-store walk on a partial snapshot — the rule's declared \
              read set does not license iter()/len()/predicates()/unbound \
              matches()"
         );
-        self.snapshot.sub_stores()
+        &self.snapshot.shards
     }
 }
 
@@ -1211,8 +881,6 @@ mod tests {
         fresh.clear();
         assert_eq!(st.insert_batch_explicit(&batch, &mut fresh), 0);
         assert_eq!(st.insert_batch(&batch, &mut fresh), 0);
-        let absent: Vec<Triple> = preds.iter().map(|&p| t(9, p, 9)).collect();
-        assert_eq!(st.remove_batch(&absent, &mut fresh), 0);
         assert!(fresh.is_empty());
         assert_eq!(st.snapshot_generation(), settled);
     }
@@ -1258,12 +926,20 @@ mod tests {
         assert!(st.is_explicit(t(1, 2, 3)));
         st.insert(t(4, 2, 3)); // derived
         assert!(!st.is_explicit(t(4, 2, 3)));
-        let mut removed = Vec::new();
-        assert_eq!(st.remove_batch(&[t(1, 2, 3), t(9, 9, 9)], &mut removed), 1);
-        assert_eq!(removed, vec![t(1, 2, 3)]);
-        assert!(st.remove(t(4, 2, 3)));
+        {
+            let mut guard = st.exclusive();
+            let mut removed = Vec::new();
+            assert_eq!(
+                guard.remove_batch(&[t(1, 2, 3), t(9, 9, 9)], &mut removed),
+                1
+            );
+            assert_eq!(removed, vec![t(1, 2, 3)]);
+            assert!(guard.remove(t(4, 2, 3)));
+            assert!(!guard.remove(t(4, 2, 3)));
+        }
         assert!(st.is_empty());
-        assert_eq!(st.remove_batch(&[], &mut removed), 0);
+        assert!(!st.contains(t(1, 2, 3)));
+        assert!(st.snapshot().is_empty());
     }
 
     #[test]
@@ -1291,17 +967,19 @@ mod tests {
         st.insert(t(1, 10, 2));
         st.insert(t(1, 10, 3));
         st.insert(t(5, 20, 6));
-        let snap = st.read();
-        assert_eq!(snap.objects_with(NodeId(10), NodeId(1)).count(), 2);
-        assert_eq!(snap.subjects_with(NodeId(20), NodeId(6)).count(), 1);
-        assert_eq!(snap.pairs(NodeId(10)).count(), 2);
-        assert_eq!(snap.count_with_p(NodeId(10)), 2);
+        let snap = st.snapshot();
+        let view = snap.view();
+        assert_eq!(view.objects_with(NodeId(10), NodeId(1)).count(), 2);
+        assert_eq!(view.subjects_with(NodeId(20), NodeId(6)).count(), 1);
+        assert_eq!(view.pairs(NodeId(10)).count(), 2);
+        assert_eq!(view.count_with_p(NodeId(10)), 2);
+        assert_eq!(view.len(), 3);
         assert_eq!(snap.len(), 3);
         assert!(!snap.is_empty());
-        assert!(snap.contains(t(5, 20, 6)));
-        assert_eq!(snap.iter().count(), 3);
+        assert!(view.contains(t(5, 20, 6)));
+        assert_eq!(view.iter().count(), 3);
         assert_eq!(
-            snap.matches(TriplePattern::new(None, Some(NodeId(10)), None))
+            view.matches(TriplePattern::new(None, Some(NodeId(10)), None))
                 .len(),
             2
         );
@@ -1358,68 +1036,6 @@ mod tests {
         assert!(done.load(Ordering::SeqCst));
         assert_eq!(st.len(), 2);
         assert!(st.shard_write_conflicts() >= 1, "the blocked write counted");
-    }
-
-    /// A partial snapshot pins only its declared read set's shards:
-    /// while a reader holds one family's shard, writes to other shards
-    /// complete, and a write to the pinned shard blocks until the
-    /// snapshot drops.
-    #[test]
-    fn partial_snapshot_only_blocks_declared_shards() {
-        let st = Arc::new(ShardedStore::with_shards(8));
-        let p1 = NodeId(1);
-        let p2 = (2..200)
-            .map(NodeId)
-            .find(|&p| st.shard_of(p) != st.shard_of(p1))
-            .expect("some predicate hashes to another shard");
-        st.insert(Triple::new(NodeId(5), p1, NodeId(6)));
-
-        let plan = st.plan_read(&[p1]);
-        let snap = st.read_for(Some(&plan));
-        assert_eq!(snap.objects_with(p1, NodeId(5)).count(), 1);
-
-        // Untouched shard: a write completes while the snapshot lives.
-        let st2 = Arc::clone(&st);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let _ = tx.send(st2.insert(Triple::new(NodeId(9), p2, NodeId(9))));
-        });
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(10)),
-            Ok(true),
-            "write to an undeclared shard blocked behind a partial snapshot"
-        );
-
-        // Touched shard: a write blocks until the snapshot drops.
-        let st3 = Arc::clone(&st);
-        let done = Arc::new(AtomicBool::new(false));
-        let done2 = Arc::clone(&done);
-        let blocked = std::thread::spawn(move || {
-            st3.insert(Triple::new(NodeId(9), p1, NodeId(9)));
-            done2.store(true, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            !done.load(Ordering::SeqCst),
-            "write to the touched shard did not block"
-        );
-        drop(snap);
-        blocked.join().unwrap();
-        assert_eq!(st.len(), 3);
-    }
-
-    /// The read-set contract is exact: an undeclared predicate panics
-    /// even when it hashes to a shard the snapshot pinned for another
-    /// predicate (a shard-level check would let it slip through and make
-    /// the loud-failure guarantee depend on the shard count).
-    #[test]
-    #[should_panic(expected = "outside this snapshot's declared read set")]
-    fn undeclared_predicate_panics_even_on_a_pinned_shard() {
-        let st = ShardedStore::with_shards(1); // every predicate shares shard 0
-        st.insert(t(1, 7, 2));
-        let plan = st.plan_read(&[NodeId(7)]);
-        let snap = st.read_for(Some(&plan));
-        let _ = snap.objects_with(NodeId(8), NodeId(1)).count();
     }
 
     #[test]
@@ -1481,9 +1097,10 @@ mod tests {
         for _ in 0..4 {
             let st = Arc::clone(&st);
             handles.push(std::thread::spawn(move || {
-                let snap = st.read();
+                let snap = st.snapshot();
+                let view = snap.view();
                 (0..100)
-                    .map(|i| snap.objects_with(NodeId(7), NodeId(i)).count())
+                    .map(|i| view.objects_with(NodeId(7), NodeId(i)).count())
                     .sum::<usize>()
             }));
         }
@@ -1511,13 +1128,13 @@ mod tests {
         plain.insert(t(1, 10, 2));
         let st = ShardedStore::from_store(plain);
         // Subjects query still answers via the scan path.
-        let snap = st.read();
         assert_eq!(
-            snap.subjects_with(NodeId(10), NodeId(2))
+            st.snapshot()
+                .view()
+                .subjects_with(NodeId(10), NodeId(2))
                 .collect::<Vec<_>>(),
             vec![NodeId(1)]
         );
-        drop(snap);
         // Exclusive round-trip keeps the mode too.
         {
             let guard = st.exclusive();
@@ -1540,8 +1157,8 @@ mod tests {
     }
 
     /// The acceptance pin for the lock-free read path: with a shard's
-    /// write lock held **on this very thread** (the old read path would
-    /// self-deadlock acquiring its read lock), every query API answers.
+    /// write lock held **on this very thread** (a reader that took the
+    /// shard's read lock would self-deadlock), every query API answers.
     #[test]
     fn reads_complete_while_a_shard_write_lock_is_held() {
         let st = ShardedStore::with_shards(8);
@@ -1557,7 +1174,7 @@ mod tests {
         );
         let snap = st.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap.iter().count(), 1);
+        assert_eq!(snap.view().iter().count(), 1);
         drop(guard);
     }
 
@@ -1589,15 +1206,15 @@ mod tests {
         let before = st.snapshot();
         let g0 = before.generation();
         st.insert(t(3, 7, 4));
-        st.remove(t(1, 7, 2));
+        st.exclusive().remove(t(1, 7, 2));
         let after = st.snapshot();
         assert!(after.generation() > g0, "publication bumps the stamp");
         assert_eq!(st.snapshot_generation(), after.generation());
-        assert!(before.contains(t(1, 7, 2)), "old epoch untouched");
-        assert!(!before.contains(t(3, 7, 4)));
+        assert!(before.view().contains(t(1, 7, 2)), "old epoch untouched");
+        assert!(!before.view().contains(t(3, 7, 4)));
         assert_eq!(before.len(), 1);
-        assert!(!after.contains(t(1, 7, 2)));
-        assert!(after.contains(t(3, 7, 4)));
+        assert!(!after.view().contains(t(1, 7, 2)));
+        assert!(after.view().contains(t(3, 7, 4)));
         assert_eq!(after.len(), 1);
     }
 
@@ -1648,31 +1265,43 @@ mod tests {
     }
 
     /// The scoped epoch reader preserves the exact-membership read-set
-    /// contract even though nothing is pinned.
+    /// contract: an undeclared predicate panics even when it hashes to
+    /// the same shard as a declared one (a shard-level check would let it
+    /// slip through and make the loud-failure guarantee depend on the
+    /// shard count).
     #[test]
     #[should_panic(expected = "outside this snapshot's declared read set")]
     fn epoch_reader_panics_on_undeclared_predicate() {
         let st = ShardedStore::with_shards(1); // every predicate shares shard 0
         st.insert(t(1, 7, 2));
-        let plan = st.plan_read(&[NodeId(7)]);
         let snap = st.snapshot();
-        let reader = snap.reader(Some(&plan));
+        let reader = snap.reader(Some(&[NodeId(7)]));
         let _ = reader.view().objects_with(NodeId(8), NodeId(1)).count();
     }
 
     /// The scoped epoch reader answers declared-predicate queries from
-    /// the epoch and refuses full-store walks, like the pinned snapshot.
+    /// the epoch; the unscoped reader also walks the whole store.
     #[test]
     fn epoch_reader_scoped_queries_answer() {
         let st = ShardedStore::with_shards(8);
         st.insert(t(1, 7, 2));
         st.insert(t(5, 20, 6));
-        let plan = st.plan_read(&[NodeId(7)]);
         let snap = st.snapshot();
-        let reader = snap.reader(Some(&plan));
+        let reader = snap.reader(Some(&[NodeId(7)]));
         assert_eq!(reader.view().objects_with(NodeId(7), NodeId(1)).count(), 1);
         let unscoped = snap.reader(None);
         assert_eq!(unscoped.view().len(), 2);
+    }
+
+    /// A scoped reader refuses full-store walks: its read set licenses
+    /// only the declared predicates, not `len`/`iter`/`predicates`.
+    #[test]
+    #[should_panic(expected = "full-store walk on a partial snapshot")]
+    fn epoch_reader_refuses_full_store_walks() {
+        let st = ShardedStore::with_shards(8);
+        st.insert(t(1, 7, 2));
+        let snap = st.snapshot();
+        let _ = snap.reader(Some(&[NodeId(7)])).view().len();
     }
 
     #[test]

@@ -25,24 +25,25 @@
 //! subsystem builds on exactly these two primitives — see
 //! `slider-core`'s `maintenance` module.
 //!
-//! [`ShardedStore`] shares the store across threads with **two-level
-//! locking** (the paper uses a single `ReentrantReadWriteLock`; we keep
-//! its semantics but not its bottleneck): a global *maintenance gate*
-//! held in read mode by every normal operation and in write mode only by
-//! exclusive (DRed/quiescent) sections, plus per-predicate-shard
-//! readers-writer locks so writers touching disjoint predicate families
-//! run concurrently. Readers join against a [`StoreView`] — either a
-//! plain store borrowed whole or a consistent multi-shard
-//! [`StoreSnapshot`] — so the same rule code serves both worlds. See the
+//! [`ShardedStore`] shares the store across threads. Writers use
+//! **two-level locking** (the paper uses a single
+//! `ReentrantReadWriteLock`; we keep its semantics but not its
+//! bottleneck): a global *maintenance gate* held in read mode by every
+//! write call and in write mode only by exclusive sections
+//! ([`ShardedStore::exclusive`] — DRed runs, quiescent-store sections, and
+//! the only way to delete), plus per-predicate-shard write locks so
+//! writers touching disjoint predicate families run concurrently. See the
 //! `concurrent` module docs for the lock-order discipline.
 //!
-//! The **query path is lock-free**: every write-release publishes an
+//! The **read path is lock-free**: every write-release publishes an
 //! immutable, generation-stamped [`EpochSnapshot`] (copy-on-write over
-//! the shard tables), and `matches`/`stats`/`to_sorted_vec`/`contains`
-//! answer from the published epoch without taking the gate or any shard
-//! lock. Rule joins with a declared read set run against an
-//! [`EpochReader`], which keeps the exact-membership panic contract of
-//! the pinned snapshots while pinning nothing.
+//! the shard tables), and queries and rule joins answer from the
+//! published epoch without taking the gate or any shard lock. Readers
+//! join against a [`StoreView`] — either a plain store borrowed whole or
+//! an [`EpochReader`] over an epoch — so the same rule code serves both
+//! worlds. A rule join with a declared read set gets a scoped
+//! [`EpochReader`], which panics on any predicate outside the
+//! declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,10 +55,9 @@ mod vertical;
 mod view;
 
 pub use concurrent::{
-    EpochReader, EpochSnapshot, ExclusiveStore, ReadSet, ShardWriteGuard, ShardedStore,
-    StoreSnapshot, DEFAULT_SHARDS,
+    EpochReader, EpochSnapshot, ExclusiveStore, ShardWriteGuard, ShardedStore, DEFAULT_SHARDS,
 };
 pub use pattern::TriplePattern;
 pub use table::PropertyTable;
 pub use vertical::{StoreStats, VerticalStore};
-pub use view::{ShardRead, StoreView};
+pub use view::StoreView;

@@ -339,7 +339,7 @@ impl VerticalStore {
 
     /// A [`StoreView`] borrowing this store whole — the read interface
     /// rules are written against, so the same rule code joins against a
-    /// plain store or a multi-shard snapshot.
+    /// plain store or a published epoch of a sharded store.
     pub fn view(&self) -> StoreView<'_> {
         StoreView::Store(self)
     }

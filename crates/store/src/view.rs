@@ -1,5 +1,5 @@
 //! [`StoreView`] — the uniform read interface over a plain store or a
-//! multi-shard snapshot.
+//! published epoch of a sharded store.
 //!
 //! Rules (and every other reader of triple data) are written against this
 //! view instead of a concrete store, so the same join code runs against:
@@ -7,68 +7,45 @@
 //! * a plain [`VerticalStore`] borrowed whole (`StoreView::Store`) — the
 //!   single-threaded baselines, the maintenance subsystem (which holds the
 //!   store exclusively), and unit tests; or
-//! * a [`StoreSnapshot`](crate::StoreSnapshot) of a [`ShardedStore`](crate::ShardedStore)
-//!   (`StoreView::Snapshot`) — the concurrent reasoner's rule instances,
-//!   reading a consistent multi-shard snapshot under per-shard read locks.
+//! * an [`EpochReader`] over a published
+//!   [`EpochSnapshot`](crate::EpochSnapshot) of a
+//!   [`ShardedStore`](crate::ShardedStore) (`StoreView::Epoch`) — queries
+//!   and the concurrent reasoner's rule instances, reading an immutable
+//!   multi-shard cut without taking any lock.
 //!
 //! Every predicate-bound access (`objects_with`, `subjects_with`, `pairs`,
 //! `contains`, `table` …) routes to the one sub-store owning that
-//! predicate — a shard lookup plus the usual hash lookups, no boxing on
-//! the hot join paths. Only the full-walk accessors (`iter`,
-//! `predicates`, unbound-predicate `matches`) traverse all shards.
+//! predicate — a shard lookup plus the usual hash lookups, with no virtual
+//! call and no boxing on the hot join paths. Only the full-walk accessors
+//! (`iter`, `predicates`, unbound-predicate `matches`) traverse all
+//! shards.
 
+use crate::concurrent::EpochReader;
 use crate::pattern::TriplePattern;
 use crate::table::PropertyTable;
 use crate::vertical::VerticalStore;
 use slider_model::{NodeId, Triple};
-
-/// The object-safe shard-read interface [`StoreView::Snapshot`] builds
-/// on: route a predicate to its owning sub-store, or walk every
-/// sub-store. [`StoreSnapshot`](crate::StoreSnapshot) implements it over
-/// the shard read guards pinned at snapshot construction.
-pub trait ShardRead {
-    /// The sub-store owning predicate `p`.
-    fn store_for(&self, p: NodeId) -> &VerticalStore;
-    /// Every sub-store (pinning them all first).
-    fn sub_stores(&self) -> Box<dyn Iterator<Item = &VerticalStore> + '_>;
-}
+use std::sync::Arc;
 
 /// A borrowed, read-only view of triple data — see the module docs.
 ///
-/// Obtained from [`VerticalStore::view`] or [`StoreSnapshot::view`](crate::StoreSnapshot::view).
-/// `Copy`, so it can be passed around freely during one join.
+/// Obtained from [`VerticalStore::view`], [`EpochSnapshot::view`](crate::EpochSnapshot::view)
+/// or [`EpochReader::view`]. `Copy`, so it can be passed around freely
+/// during one join.
 #[derive(Clone, Copy)]
 pub enum StoreView<'a> {
     /// A plain store borrowed whole.
     Store(&'a VerticalStore),
-    /// A multi-shard read snapshot of a sharded store (all of the
-    /// declared read set's shards pinned at construction — see
-    /// `ShardedStore::read_for`).
-    Snapshot(&'a (dyn ShardRead + 'a)),
+    /// A published epoch of a sharded store, optionally scoped to a
+    /// declared read set.
+    Epoch(EpochReader<'a>),
 }
 
 impl std::fmt::Debug for StoreView<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StoreView::Store(_) => f.write_str("StoreView::Store"),
-            StoreView::Snapshot(_) => f.write_str("StoreView::Snapshot"),
-        }
-    }
-}
-
-/// Iterator over the sub-stores a view is composed of (1 for
-/// `StoreView::Store`, one per shard for `StoreView::Snapshot`).
-enum SubStores<'a> {
-    One(std::iter::Once<&'a VerticalStore>),
-    Shards(Box<dyn Iterator<Item = &'a VerticalStore> + 'a>),
-}
-
-impl<'a> Iterator for SubStores<'a> {
-    type Item = &'a VerticalStore;
-    fn next(&mut self) -> Option<&'a VerticalStore> {
-        match self {
-            SubStores::One(it) => it.next(),
-            SubStores::Shards(it) => it.next(),
+            StoreView::Epoch(_) => f.write_str("StoreView::Epoch"),
         }
     }
 }
@@ -80,17 +57,18 @@ impl<'a> StoreView<'a> {
     fn store_for(&self, p: NodeId) -> &'a VerticalStore {
         match self {
             StoreView::Store(store) => store,
-            StoreView::Snapshot(snap) => snap.store_for(p),
+            StoreView::Epoch(reader) => reader.store_for(p),
         }
     }
 
-    /// All sub-stores, for the full-walk accessors (pins every shard of a
-    /// snapshot view first).
+    /// All sub-stores, for the full-walk accessors (one for a plain
+    /// store, one per shard for an epoch).
     fn stores(&self) -> impl Iterator<Item = &'a VerticalStore> {
-        match self {
-            StoreView::Store(store) => SubStores::One(std::iter::once(store)),
-            StoreView::Snapshot(snap) => SubStores::Shards(snap.sub_stores()),
-        }
+        let (whole, shards): (Option<&'a VerticalStore>, &'a [Arc<VerticalStore>]) = match *self {
+            StoreView::Store(store) => (Some(store), &[]),
+            StoreView::Epoch(reader) => (None, reader.shards()),
+        };
+        whole.into_iter().chain(shards.iter().map(|s| &**s))
     }
 
     /// The partition for predicate `p`, if any triple uses it.
@@ -205,7 +183,7 @@ mod tests {
         let plain: VerticalStore = sample().into_iter().collect();
         for shards in [1, 2, 16] {
             let sharded = ShardedStore::from_store_sharded(plain.clone(), shards);
-            let snap = sharded.read();
+            let snap = sharded.snapshot();
             let a = plain.view();
             let b = snap.view();
             assert_eq!(a.len(), b.len());
@@ -247,7 +225,7 @@ mod tests {
     fn snapshot_matches_agrees_with_reference() {
         let triples = sample();
         let sharded = ShardedStore::from_store_sharded(triples.iter().copied().collect(), 4);
-        let snap = sharded.read();
+        let snap = sharded.snapshot();
         let view = snap.view();
         let ids: Vec<Option<NodeId>> = vec![
             None,
@@ -282,7 +260,7 @@ mod tests {
         assert!(plain.view().is_explicit(t(1, 10, 2)));
         assert!(!plain.view().is_explicit(t(3, 10, 4)));
         let sharded = ShardedStore::from_store_sharded(plain, 8);
-        let snap = sharded.read();
+        let snap = sharded.snapshot();
         assert!(snap.view().is_explicit(t(1, 10, 2)));
         assert!(!snap.view().is_explicit(t(3, 10, 4)));
     }

@@ -57,8 +57,10 @@ fn main() {
         .id_of(&Term::iri("http://example.org/zoo#felix"))
         .unwrap();
     let rdf_type = slider::model::vocab::RDF_TYPE;
-    let store = slider.store().read();
-    let mut classes: Vec<String> = store
+    // Queries answer lock-free from the store's published epoch.
+    let epoch = slider.store().snapshot();
+    let mut classes: Vec<String> = epoch
+        .view()
         .objects_with(rdf_type, felix)
         .map(|c| dict.lookup(c).unwrap().to_string())
         .collect();

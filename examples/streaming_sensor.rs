@@ -138,10 +138,12 @@ fn main() {
         for expired in &step.expiring {
             slider.remove_terms_deferred(expired);
         }
-        // Query concurrently with inference — no global lock, no re-run.
+        // Query concurrently with inference — lock-free, from the
+        // published epoch; no re-run.
         let known_sensors = slider
             .store()
-            .read()
+            .snapshot()
+            .view()
             .subjects_with(rdf_type, sensor_class)
             .count();
         if step.index % 10 == 9 || !step.expiring.is_empty() {
@@ -186,7 +188,8 @@ fn main() {
     let live_batches = window.live_tail().len();
     let sensors = slider
         .store()
-        .read()
+        .snapshot()
+        .view()
         .subjects_with(rdf_type, sensor_class)
         .count();
     println!("sensors currently rdf:type s:Sensor: {sensors} (expected {live_batches})");

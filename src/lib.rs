@@ -153,7 +153,7 @@
 //! maintenance. `Slider::swap_ruleset` replaces the loaded ruleset on the
 //! live reasoner: derivations supported only by dropped rules are
 //! retracted with DRed, added rules are evaluated semi-naively, and the
-//! dependency graph / read plans / maintenance partitions are rebuilt
+//! dependency graph / read sets / maintenance partitions are rebuilt
 //! atomically at the swap's linearisation point:
 //!
 //! ```

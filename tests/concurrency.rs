@@ -485,7 +485,8 @@ fn queries_answer_from_the_old_epoch_while_exclusive_holds_the_store() {
         let slider = Arc::clone(&slider);
         std::thread::spawn(move || {
             let snap = slider.store().snapshot();
-            let _ = tx.send((snap.contains(t1), snap.contains(t2), snap.len()));
+            let view = snap.view();
+            let _ = tx.send((view.contains(t1), view.contains(t2), snap.len()));
         });
     }
     let (has_t1, has_t2, len) = rx
@@ -563,7 +564,7 @@ fn readers_observe_only_legal_cuts_across_partitioned_flushes() {
                     "epoch generation regressed"
                 );
                 last_generation = snap.generation();
-                let cut = snap.to_sorted_vec();
+                let cut = snap.view().to_sorted_vec();
                 assert_eq!(cut.len(), snap.len(), "epoch len out of step");
                 assert!(
                     cut == before || cut == after,
@@ -602,17 +603,17 @@ fn snapshot_acquired_before_a_flush_never_observes_its_retractions() {
     let sco = |a: u64, b: u64| Triple::new(NodeId(2_000 + a), RDFS_SUB_CLASS_OF, NodeId(2_000 + b));
     slider.materialize(&[sco(1, 2), sco(2, 3)]);
     let pinned = slider.store().snapshot();
-    assert!(pinned.contains(sco(1, 3)), "closure incomplete");
+    assert!(pinned.view().contains(sco(1, 3)), "closure incomplete");
 
     assert_eq!(slider.remove_triples(&[sco(2, 3)]), 1);
     // The pinned epoch still answers from the pre-flush world…
-    assert!(pinned.contains(sco(2, 3)));
-    assert!(pinned.contains(sco(1, 3)));
+    assert!(pinned.view().contains(sco(2, 3)));
+    assert!(pinned.view().contains(sco(1, 3)));
     assert_eq!(pinned.len(), 3);
     // …while the current epoch has the retraction and its consequences.
     let current = slider.store().snapshot();
-    assert!(!current.contains(sco(2, 3)));
-    assert!(!current.contains(sco(1, 3)));
+    assert!(!current.view().contains(sco(2, 3)));
+    assert!(!current.view().contains(sco(1, 3)));
     assert!(current.generation() > pinned.generation());
     assert_eq!(slider.stats().snapshot_generation, current.generation());
 }
